@@ -150,127 +150,141 @@ void Relation::ranks_of_bucket(std::uint32_t bucket, std::vector<int>& out) cons
 
 void Relation::stage(std::span<const value_t> tuple) {
   assert(tuple.size() == cfg_.arity);
-  assert(route_rank(tuple) == comm_->rank() && "tuple staged on the wrong rank");
-  if (support_counts_) {
-    // Count the derivation event before any same-iteration collapse below.
-    ++support_[Tuple(tuple.subspan(0, indep_arity()))];
-  }
-  if (!aggregated()) {
-    staged_set_.insert(Tuple(tuple));
-    return;
-  }
-  // Local aggregation, step one: collapse within-iteration duplicates of a
-  // key before they reach the B-tree.
-  Tuple key(tuple.subspan(0, indep_arity()));
-  const auto dep = tuple.subspan(indep_arity(), cfg_.dep_arity);
-  auto [it, inserted] = staged_agg_.try_emplace(std::move(key), Tuple(dep));
-  if (!inserted) {
-    Tuple merged = it->second;  // copy sized dep_arity
-    cfg_.aggregator->partial_agg(it->second.view(), dep, merged.mutable_view());
-    it->second = std::move(merged);
-  }
-}
-
-void Relation::reserve_staging(std::size_t extra) {
-  if (aggregated()) {
-    staged_agg_.reserve(staged_agg_.size() + extra);
-  } else {
-    staged_set_.reserve(staged_set_.size() + extra);
-  }
+  stage_rows(tuple);
 }
 
 void Relation::stage_rows(std::span<const value_t> rows) {
-  assert(rows.size() % cfg_.arity == 0 && "ragged bulk staging batch");
-  reserve_staging(rows.size() / cfg_.arity);
-  for (std::size_t i = 0; i < rows.size(); i += cfg_.arity) {
-    stage(rows.subspan(i, cfg_.arity));
+  const std::size_t ar = cfg_.arity;
+  assert(rows.size() % ar == 0 && "ragged bulk staging batch");
+  for (std::size_t off = 0; off < rows.size(); off += ar) {
+    const auto t = rows.subspan(off, ar);
+    assert(route_rank(t) == comm_->rank() && "tuple staged on the wrong rank");
+    // Count the derivation event before any same-iteration collapse.
+    if (support_counts_) ++support_[Tuple(t.first(indep_arity()))];
+  }
+  while (!rows.empty()) {
+    const std::size_t take = std::min(rows.size(), fold_at_ * ar - staged_.size());
+    staged_.insert(staged_.end(), rows.begin(),
+                   rows.begin() + static_cast<std::ptrdiff_t>(take));
+    rows = rows.subspan(take);
+    if (staged_.size() == fold_at_ * ar) fold_staged();
   }
 }
 
-MaterializeResult Relation::materialize() {
-  MaterializeResult res;
-  delta_.clear();
-
-  if (!aggregated()) {
-    res.staged = staged_set_.size();
-    for (const auto& t : staged_set_) {
-      if (full_.insert(t)) {
-        delta_.insert(t);
-        ++res.inserted;
-      } else {
-        ++res.rejected;
+void Relation::fold_staged() {
+  const std::size_t ar = cfg_.arity;
+  const std::size_t ka = indep_arity();
+  // staged_ is [run | tail]: the previous fold's run, then the rows staged
+  // since.  Only the tail needs sorting; one merge pass folds both.
+  const auto run_end = staged_.begin() + static_cast<std::ptrdiff_t>(run_rows_ * ar);
+  std::vector<value_t> tail(run_end, staged_.end());
+  storage::sort_rows(tail, ar, ka);
+  std::vector<value_t> out;
+  out.reserve(staged_.size());
+  std::vector<value_t> merged(cfg_.dep_arity);
+  // Append `row`, or fold it into the last row when the keys are equal.
+  const auto push = [&](std::span<const value_t> row) {
+    if (!out.empty()) {
+      const std::span<value_t> last(out.data() + out.size() - ar, ar);
+      if (storage::compare_prefix(last, row, ka) == 0) {
+        if (aggregated()) {
+          const auto acc = last.subspan(ka);
+          std::copy(acc.begin(), acc.end(), merged.begin());
+          cfg_.aggregator->partial_agg(acc, row.subspan(ka), merged);
+          std::copy(merged.begin(), merged.end(), acc.begin());
+        }
+        return;  // folded, or a plain relation's duplicate tuple
       }
     }
-    staged_set_.clear();
+    out.insert(out.end(), row.begin(), row.end());
+  };
+  const std::span<const value_t> run(staged_.data(), run_rows_ * ar);
+  const std::span<const value_t> fresh(tail);
+  std::size_t i = 0, j = 0;
+  while (i < run.size() && j < fresh.size()) {
+    if (storage::compare_prefix(run.subspan(i, ar), fresh.subspan(j, ar), ka) <= 0) {
+      push(run.subspan(i, ar));
+      i += ar;
+    } else {
+      push(fresh.subspan(j, ar));
+      j += ar;
+    }
+  }
+  for (; i < run.size(); i += ar) push(run.subspan(i, ar));
+  for (; j < fresh.size(); j += ar) push(fresh.subspan(j, ar));
+  staged_ = std::move(out);
+  run_rows_ = staged_.size() / ar;
+  fold_at_ = std::max(kFoldFloor, 2 * run_rows_);
+}
+
+MaterializeResult Relation::materialize() {
+  fold_staged();
+  const std::size_t ar = cfg_.arity;
+  const std::size_t ka = indep_arity();
+  MaterializeResult res;
+  res.staged = staged_.size() / ar;
+
+  if (aggregated() && cfg_.agg_mode == AggMode::kRefresh) {
+    // Jacobi-style replacement: the run *is* the next state.
+    full_.assign_sorted(staged_);
+    delta_.clear();
+    res.inserted = res.staged;
+  } else {
+    // Lattice (or plain) mode: fused dedup/aggregation (paper §IV-A).  The
+    // next delta is every inserted or ascended row, in key order.
+    std::vector<value_t> fresh;
+    std::vector<value_t> merged(cfg_.dep_arity);
+    const auto fold = [&](std::span<value_t> cur, std::span<const value_t> in) {
+      if (!aggregated()) return false;  // plain: the key is the whole tuple
+      const auto cur_dep = cur.subspan(ka);
+      std::copy(cur_dep.begin(), cur_dep.end(), merged.begin());
+      cfg_.aggregator->partial_agg(cur_dep, in.subspan(ka), merged);
+      if (std::equal(merged.begin(), merged.end(), cur_dep.begin())) {
+        return false;  // no new information: never enters delta, never moves
+      }
+      // Lattice law: cur ⊔ x must sit above cur.  A violating aggregator
+      // would break termination, so catch it in debug builds.
+      assert(cfg_.aggregator->partial_cmp(cur_dep, merged) == PartialOrder::kLess);
+      // Payload rewrite only; the key columns stay, so order holds.
+      std::copy(merged.begin(), merged.end(), cur_dep.begin());
+      ++res.updated;
+      return true;
+    };
+    if (res.staged * kPerKeyRatio < full_.size()) {
+      // A run small against the tree: one descent per key beats a rebuild.
+      for (std::size_t off = 0; off < staged_.size(); off += ar) {
+        const std::span<const value_t> in(staged_.data() + off, ar);
+        const std::span<value_t> cur =
+            aggregated() ? full_.find_key(in.first(ka)) : std::span<value_t>{};
+        if (cur.empty()) {
+          if (full_.insert(in)) fresh.insert(fresh.end(), in.begin(), in.end());
+        } else if (fold(cur, in)) {
+          fresh.insert(fresh.end(), cur.begin(), cur.end());
+        }
+      }
+    } else {
+      full_.merge_sorted(staged_, fresh, fold);
+    }
+    delta_.assign_sorted(fresh);
     res.delta_size = delta_.size();
-    return res;
+    res.inserted = res.delta_size - res.updated;
+    res.rejected = res.staged - res.delta_size;
   }
-
-  res.staged = staged_agg_.size();
-
-  if (cfg_.agg_mode == AggMode::kRefresh) {
-    // Jacobi-style replacement: the staged aggregates *are* the next state.
-    full_.clear();
-    for (const auto& [key, dep] : staged_agg_) {
-      Tuple row = key;
-      for (std::size_t i = 0; i < cfg_.dep_arity; ++i) row.push_back(dep[i]);
-      full_.insert(row);
-      ++res.inserted;
-    }
-    staged_agg_.clear();
-    res.delta_size = 0;
-    return res;
-  }
-
-  // Lattice mode: fused dedup/aggregation (paper §IV-A).
-  Tuple merged;
-  for (const auto& [key, dep] : staged_agg_) {
-    const std::span<value_t> cur = full_.find_key(key.view());
-    if (cur.empty()) {
-      Tuple row = key;
-      for (std::size_t i = 0; i < cfg_.dep_arity; ++i) row.push_back(dep[i]);
-      delta_.insert(row);
-      full_.insert(row);
-      ++res.inserted;
-      continue;
-    }
-    const std::span<const value_t> cur_dep = cur.subspan(indep_arity(), cfg_.dep_arity);
-    merged.clear();
-    for (std::size_t i = 0; i < cfg_.dep_arity; ++i) merged.push_back(cur_dep[i]);
-    cfg_.aggregator->partial_agg(cur_dep, dep.view(), merged.mutable_view());
-    if (std::equal(merged.view().begin(), merged.view().end(), cur_dep.begin(),
-                   cur_dep.end())) {
-      ++res.rejected;  // no new information: never enters delta, never moves
-      continue;
-    }
-    // Lattice law: cur ⊔ x must sit above cur.  A violating aggregator
-    // would break termination, so catch it in debug builds.
-    assert(cfg_.aggregator->partial_cmp(cur_dep, merged.view()) == PartialOrder::kLess);
-    // In-place payload rewrite through the mutable find_key span; the key
-    // columns stay untouched so the tree stays ordered.
-    std::copy(merged.view().begin(), merged.view().end(),
-              cur.subspan(indep_arity(), cfg_.dep_arity).begin());
-    delta_.insert(std::span<const value_t>(cur));
-    ++res.updated;
-  }
-  staged_agg_.clear();
-  res.delta_size = delta_.size();
+  clear_staging();
   return res;
 }
 
 void Relation::reset() {
   full_.clear();
   delta_.clear();
-  staged_set_.clear();
-  staged_agg_.clear();
+  clear_staging();
   support_.clear();
   hot_keys_.clear();
   hot_set_.clear();
 }
 
 Relation::LocalSnapshot Relation::snapshot() const {
-  assert(staged_set_.empty() && staged_agg_.empty() &&
-         "snapshot is only legal between iterations");
+  assert(staged_.empty() && "snapshot is only legal between iterations");
   LocalSnapshot s;
   s.full.reserve(full_.size() * cfg_.arity);
   full_.for_each([&](std::span<const value_t> row) {
@@ -285,16 +299,9 @@ Relation::LocalSnapshot Relation::snapshot() const {
 }
 
 void Relation::restore(const LocalSnapshot& snap) {
-  full_.clear();
-  delta_.clear();
-  staged_set_.clear();
-  staged_agg_.clear();
-  for (std::size_t off = 0; off < snap.full.size(); off += cfg_.arity) {
-    full_.insert(std::span<const value_t>{snap.full.data() + off, cfg_.arity});
-  }
-  for (std::size_t off = 0; off < snap.delta.size(); off += cfg_.arity) {
-    delta_.insert(std::span<const value_t>{snap.delta.data() + off, cfg_.arity});
-  }
+  full_.assign_sorted(snap.full);  // snapshot rows are in key order
+  delta_.assign_sorted(snap.delta);
+  clear_staging();
   support_.clear();
   support_.reserve(snap.support.size());
   for (const auto& [key, count] : snap.support) support_.emplace(key, count);
@@ -402,12 +409,15 @@ std::uint64_t Relation::reshuffle_to_sub_buckets(int new_sub_buckets,
     }
     auto got = comm_->alltoallv(std::move(send));
 
-    storage::TupleBTree rebuilt(cfg_.arity, indep_arity());
+    std::vector<value_t> rows;
     for (const auto& buf : got) {
       vmpi::TypedReader<value_t> r(buf);
-      while (!r.done()) rebuilt.insert(r.take_span(cfg_.arity));
+      const auto span = r.take_span(r.remaining());
+      rows.insert(rows.end(), span.begin(), span.end());
     }
-    tree(v) = std::move(rebuilt);
+    // Every key lives on exactly one rank, so the merged rows are key-unique.
+    storage::sort_rows(rows, cfg_.arity, indep_arity());
+    tree(v).assign_sorted(rows);
   }
   return moved_bytes;
 }

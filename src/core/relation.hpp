@@ -20,7 +20,9 @@
 //
 // Each rank holds its partition in two B-trees (full and delta, keyed on
 // the independent columns) plus a staging area where tuples arriving from
-// the all-to-all exchange are *pre-aggregated* before materialization.
+// the all-to-all exchange are *pre-aggregated* before materialization:
+// staging appends flat rows, and a sort-fold turns them into a *run* —
+// key-sorted, key-unique rows — that materialize() places into full.
 
 #include <string>
 #include <unordered_map>
@@ -51,7 +53,7 @@ struct RelationConfig {
 };
 
 struct MaterializeResult {
-  std::uint64_t staged = 0;    // tuples received this iteration (pre-agg keys)
+  std::uint64_t staged = 0;    // distinct keys staged, after the within-iteration fold
   std::uint64_t inserted = 0;  // new keys
   std::uint64_t updated = 0;   // existing keys whose accumulator ascended
   std::uint64_t rejected = 0;  // no new information (paper Fig. 1, right)
@@ -142,24 +144,32 @@ class Relation {
 
   // -- staging + fused dedup/aggregation ---------------------------------------
 
+  /// Staging folds itself in place once it holds max(kFoldFloor, 2 × the
+  /// rows left by the previous fold) rows, so it never holds much more
+  /// than twice the distinct keys staged (plus kFoldFloor).  The floor
+  /// keeps small iterations from sorting more than once.
+  static constexpr std::size_t kFoldFloor = 4096;
+
+  /// materialize() places a run of k keys into a full tree of n rows by
+  /// per-key descents when k × kPerKeyRatio < n, and by one merge pass
+  /// plus a rebuild otherwise.  Measured crossover: bench/micro_aggregate
+  /// BM_RunIntoTree (DESIGN.md §5.1).
+  static constexpr std::size_t kPerKeyRatio = 32;
+
   /// Stage a tuple that this rank owns (arrived via all-to-all or was
-  /// generated locally for a local bucket).  For aggregated relations this
-  /// performs the *local aggregation* immediately: within-iteration
-  /// duplicates of a key are collapsed before they ever touch the B-tree.
+  /// generated locally for a local bucket).  Within-iteration duplicates
+  /// of a key are collapsed — by the aggregator's partial_agg for
+  /// aggregated relations — before they ever touch the B-tree.
   void stage(std::span<const value_t> tuple);
 
   /// Bulk staging: `rows` is a flat concatenation of stored-order tuples
-  /// (size a multiple of arity), all owned by this rank.  Pre-reserves the
-  /// staging container from the row count — the fused exchange decode path
-  /// lands here, and without the reserve large deltas trigger rehash
-  /// storms (visible in CC on RMAT inputs).
+  /// (size a multiple of arity), all owned by this rank; the fused
+  /// exchange decode path lands here.
   void stage_rows(std::span<const value_t> rows);
 
-  /// Grow the staging container for `extra` incoming keys ahead of a batch.
-  void reserve_staging(std::size_t extra);
-
-  /// Fused deduplication / aggregation (paper §IV-A): fold the staging
-  /// area into full, computing the next delta.  Local; no communication.
+  /// Fused deduplication / aggregation (paper §IV-A): sort-fold the
+  /// staging area into a run, place it into full, and build the next
+  /// delta from the inserted and ascended rows.  Local; no communication.
   MaterializeResult materialize();
 
   /// Drop every tuple and staged row (full, delta, staging).  Local; the
@@ -203,9 +213,8 @@ class Relation {
   /// removed full row, or an empty tuple if the key was absent.  Local.
   Tuple retract_key(std::span<const value_t> key);
 
-  [[nodiscard]] std::size_t staged_count() const {
-    return aggregated() ? staged_agg_.size() : staged_set_.size();
-  }
+  /// Rows currently staged (folded in place at most down to one per key).
+  [[nodiscard]] std::size_t staged_count() const { return staged_.size() / cfg_.arity; }
 
   // -- batch rollback (serving graceful degradation) ---------------------------
 
@@ -220,9 +229,10 @@ class Relation {
   };
   [[nodiscard]] LocalSnapshot snapshot() const;
 
-  /// Restore exactly the state captured by snapshot(): full/delta rebuilt
-  /// by reinsertion, staging cleared, support map replaced.  Local; the
-  /// serving engine calls it on every rank after an aborted batch.
+  /// Restore exactly the state captured by snapshot(): full/delta bulk
+  /// rebuilt from the key-ordered rows, staging cleared, support map
+  /// replaced.  Local; the serving engine calls it on every rank after an
+  /// aborted batch.
   void restore(const LocalSnapshot& snap);
 
   // -- collective operations ----------------------------------------------------
@@ -270,6 +280,15 @@ class Relation {
   [[nodiscard]] std::size_t effective_sub_cols() const {
     return indep_arity() - cfg_.jcc;  // columns feeding H2
   }
+  /// Sort staged_ by key and collapse equal keys (partial_agg for
+  /// aggregated relations, dropping duplicates for plain ones), leaving a
+  /// run.  Sets the next fold point.
+  void fold_staged();
+  void clear_staging() {
+    staged_.clear();
+    run_rows_ = 0;
+    fold_at_ = kFoldFloor;
+  }
 
   vmpi::Comm* comm_;
   RelationConfig cfg_;
@@ -279,9 +298,12 @@ class Relation {
   storage::TupleBTree full_;
   storage::TupleBTree delta_;
 
-  // Staging: plain relations deduplicate, aggregated relations pre-aggregate.
-  std::unordered_set<Tuple, storage::TupleHash> staged_set_;
-  std::unordered_map<Tuple, Tuple, storage::TupleHash> staged_agg_;  // key -> dep
+  // Staging: flat stored-order rows.  The first run_rows_ rows are the run
+  // left by the last fold; rows appended since follow it.  fold_staged()
+  // runs when staging reaches fold_at_ rows.
+  std::vector<value_t> staged_;
+  std::size_t run_rows_ = 0;
+  std::size_t fold_at_ = kFoldFloor;
 
   // Derivation-event counts per key (serving mode only; empty otherwise).
   bool support_counts_ = false;

@@ -283,11 +283,9 @@ void ServingEngine::build_reverse_indexes() {
           append_row(send[static_cast<std::size_t>(rs.rev->owner_rank(rrow))], rrow);
         });
     auto flat = exchange_flat(std::move(send));
-    auto& tree = rs.rev->tree(core::Version::kFull);
-    const std::size_t ar = rs.rev->arity();
-    for (std::size_t off = 0; off < flat.size(); off += ar) {
-      tree.insert(std::span<const value_t>{flat.data() + off, ar});
-    }
+    // Base rows are distinct, so their reverse rows are too.
+    storage::sort_rows(flat, rs.rev->arity(), rs.rev->indep_arity());
+    rs.rev->tree(core::Version::kFull).assign_sorted(flat);
   }
 }
 

@@ -1,11 +1,44 @@
 #include "storage/btree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace paralagg::storage {
+
+void sort_rows(std::vector<value_t>& rows, std::size_t arity, std::size_t key_arity) {
+  assert(rows.size() % arity == 0 && key_arity <= arity);
+  const std::size_t n = rows.size() / arity;
+  if (n < 2) return;
+  // LSD radix sort, one byte per pass from the last key column's low byte
+  // up to the first column's high byte.  Bytes equal in every row are
+  // skipped, so node-id keys take a pass or two per column.
+  std::vector<value_t> varying(key_arity, 0);
+  for (std::size_t off = arity; off < rows.size(); off += arity) {
+    for (std::size_t c = 0; c < key_arity; ++c) varying[c] |= rows[off + c] ^ rows[c];
+  }
+  std::vector<value_t> tmp(rows.size());
+  std::array<std::size_t, 256> pos{};
+  for (std::size_t c = key_arity; c-- > 0;) {
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      if (((varying[c] >> shift) & 0xff) == 0) continue;
+      const auto digit = [&](std::size_t off) { return (rows[off + c] >> shift) & 0xff; };
+      pos.fill(0);
+      for (std::size_t off = 0; off < rows.size(); off += arity) ++pos[digit(off)];
+      std::size_t sum = 0;
+      for (auto& p : pos) sum += std::exchange(p, sum);
+      for (std::size_t off = 0; off < rows.size(); off += arity) {
+        std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(off), arity,
+                    tmp.begin() + static_cast<std::ptrdiff_t>(pos[digit(off)]++ * arity));
+      }
+      rows.swap(tmp);
+    }
+  }
+}
 
 TupleBTree::TupleBTree(std::size_t arity, std::size_t key_arity)
     : arity_(arity), key_arity_(key_arity), root_(make_leaf()) {
@@ -34,6 +67,60 @@ std::unique_ptr<TupleBTree::Leaf> TupleBTree::make_leaf() const {
 void TupleBTree::clear() {
   root_ = make_leaf();
   size_ = 0;
+}
+
+void TupleBTree::assign_sorted(std::span<const value_t> rows) {
+  assert(rows.size() % arity_ == 0);
+  const std::size_t nrows = rows.size() / arity_;
+  for (std::size_t i = 1; i < nrows; ++i) {
+    assert(compare_prefix(rows.subspan((i - 1) * arity_, arity_),
+                          rows.subspan(i * arity_, arity_), key_arity_) < 0 &&
+           "assign_sorted needs strictly increasing keys");
+  }
+  clear();  // free the old tree before building the new one
+  if (nrows == 0) return;
+  // `count` items split into ceil(count / cap) groups of near-equal size.
+  const auto groups = [](std::size_t count, std::size_t cap) {
+    return (count + cap - 1) / cap;
+  };
+
+  // Level 0: the leaf chain; `mins` holds each node's minimum key.
+  std::vector<std::unique_ptr<Node>> level;
+  std::vector<Tuple> mins;
+  const std::size_t nleaves = groups(nrows, kLeafCap);
+  Leaf* prev = nullptr;
+  for (std::size_t j = 0, begin = 0; j < nleaves; ++j) {
+    const std::size_t end = nrows * (j + 1) / nleaves;
+    auto leaf = make_leaf();
+    leaf->vals.assign(rows.begin() + static_cast<std::ptrdiff_t>(begin * arity_),
+                      rows.begin() + static_cast<std::ptrdiff_t>(end * arity_));
+    if (prev != nullptr) prev->next = leaf.get();
+    prev = leaf.get();
+    mins.emplace_back(leaf_row(*leaf, 0).first(key_arity_));
+    level.push_back(std::move(leaf));
+    begin = end;
+  }
+  // Inner levels: seps[i] is the minimum key of children[i + 1].
+  while (level.size() > 1) {
+    const std::size_t nnodes = groups(level.size(), kInnerCap);
+    std::vector<std::unique_ptr<Node>> up;
+    std::vector<Tuple> up_mins;
+    for (std::size_t j = 0, begin = 0; j < nnodes; ++j) {
+      const std::size_t end = level.size() * (j + 1) / nnodes;
+      auto inner = std::make_unique<Inner>();
+      for (std::size_t k = begin; k < end; ++k) {
+        if (k > begin) inner->seps.push_back(std::move(mins[k]));
+        inner->children.push_back(std::move(level[k]));
+      }
+      up_mins.push_back(std::move(mins[begin]));
+      up.push_back(std::move(inner));
+      begin = end;
+    }
+    level = std::move(up);
+    mins = std::move(up_mins);
+  }
+  root_ = std::move(level.front());
+  size_ = nrows;
 }
 
 namespace {
@@ -69,10 +156,7 @@ bool TupleBTree::insert(std::span<const value_t> row) {
     new_root->children.push_back(std::move(right));
     root_ = std::move(new_root);
   }
-  if (inserted) {
-    ++size_;
-    ++inserts_;
-  }
+  if (inserted) ++size_;
   return inserted;
 }
 
@@ -284,6 +368,11 @@ std::size_t TupleBTree::approx_bytes() const {
 }
 
 std::size_t TupleBTree::check_invariants() const {
+  const auto require = [](bool ok, const char* invariant) {
+    if (!ok) {
+      throw std::logic_error(std::string("TupleBTree invariant violated: ") + invariant);
+    }
+  };
   std::size_t count = 0;
   std::vector<value_t> prev;
   std::vector<const void*> leaves_in_order;
@@ -294,31 +383,29 @@ std::size_t TupleBTree::check_invariants() const {
         if (node->is_leaf) {
           const auto* leaf = static_cast<const Leaf*>(node);
           leaves_in_order.push_back(leaf);
-          assert(leaf->vals.size() % arity_ == 0);
-          assert(leaf_rows(*leaf) <= kLeafCap);
+          require(leaf->vals.size() % arity_ == 0, "leaf holds whole rows");
+          require(leaf_rows(*leaf) <= kLeafCap, "leaf rows <= kLeafCap");
           for (std::size_t i = 0; i < leaf_rows(*leaf); ++i) {
             const auto t = leaf_row(*leaf, i);
-            if (!prev.empty()) {
-              assert(compare_prefix(prev, t, key_arity_) < 0 &&
-                     "rows must be strictly increasing by key");
-            }
-            if (lo != nullptr) {
-              assert(compare_prefix(lo->view(), t, key_arity_) <= 0);
-            }
-            if (hi != nullptr) {
-              assert(compare_prefix(t, hi->view(), key_arity_) < 0);
-            }
+            require(prev.empty() || compare_prefix(prev, t, key_arity_) < 0,
+                    "rows strictly increase by key");
+            require(lo == nullptr || compare_prefix(lo->view(), t, key_arity_) <= 0,
+                    "rows >= their left separator");
+            require(hi == nullptr || compare_prefix(t, hi->view(), key_arity_) < 0,
+                    "rows < their right separator");
             prev.assign(t.begin(), t.end());
             ++count;
           }
           return;
         }
         const auto* inner = static_cast<const Inner*>(node);
-        assert(inner->children.size() == inner->seps.size() + 1);
-        assert(inner->children.size() <= kInnerCap);
+        require(inner->children.size() == inner->seps.size() + 1,
+                "inner children == separators + 1");
+        require(inner->children.size() <= kInnerCap, "inner children <= kInnerCap");
         for (std::size_t i = 0; i + 1 < inner->seps.size(); ++i) {
-          assert(compare_prefix(inner->seps[i].view(), inner->seps[i + 1].view(), key_arity_) <
-                 0);
+          require(compare_prefix(inner->seps[i].view(), inner->seps[i + 1].view(),
+                                 key_arity_) < 0,
+                  "separators strictly increase");
         }
         for (std::size_t i = 0; i < inner->children.size(); ++i) {
           const Tuple* clo = i == 0 ? lo : &inner->seps[i - 1];
@@ -327,16 +414,16 @@ std::size_t TupleBTree::check_invariants() const {
         }
       };
   walk(root_.get(), nullptr, nullptr);
-  assert(count == size_);
+  require(count == size_, "row count == size()");
 
   // Leaf chain must enumerate exactly the in-order leaves.
   std::size_t idx = 0;
   for (const auto* leaf = leftmost_leaf(); leaf != nullptr; leaf = leaf->next) {
-    assert(idx < leaves_in_order.size() && leaves_in_order[idx] == leaf);
+    require(idx < leaves_in_order.size() && leaves_in_order[idx] == leaf,
+            "leaf chain follows in-order leaves");
     ++idx;
   }
-  assert(idx == leaves_in_order.size());
-  (void)idx;
+  require(idx == leaves_in_order.size(), "leaf chain reaches every leaf");
   return count;
 }
 

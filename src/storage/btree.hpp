@@ -25,12 +25,18 @@
 // `for_each` are thin templated wrappers over the cursor — no
 // `std::function` (and no virtual dispatch) anywhere in the scan loop.
 //
-// The tree also keeps operation counters (comparisons, node visits) which
-// the benchmark harness uses for modelled scaling: the paper's Fig. 5
-// analysis attributes low-core-count cost to B-tree operations, and these
-// counters make that attribution reproducible (`bench/probe_kernel`
-// reports comparisons-per-probe from them).
+// Bulk changes go through sorted runs instead of per-row inserts:
+// `assign_sorted` builds a tree bottom-up from key-sorted rows, and
+// `merge_sorted` merges a key-sorted run in one pass over the leaf chain
+// and rebuilds — the insert-side twin of the monotone cursor.
+//
+// The tree also keeps a key-comparison counter which the benchmark harness
+// uses for modelled scaling: the paper's Fig. 5 analysis attributes
+// low-core-count cost to B-tree operations, and the counter makes that
+// attribution reproducible (`bench/probe_kernel` reports
+// comparisons-per-probe from it).
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -40,8 +46,17 @@
 
 namespace paralagg::storage {
 
+/// Sort flat row-major rows (`arity` columns each) by their first
+/// `key_arity` columns.  Rows with equal keys end up adjacent, in no
+/// particular order among themselves.
+void sort_rows(std::vector<value_t>& rows, std::size_t arity, std::size_t key_arity);
+
 class TupleBTree {
  public:
+  /// Rows per leaf and children per inner node, at most.
+  static constexpr std::size_t kLeafCap = 32;
+  static constexpr std::size_t kInnerCap = 32;
+
   /// Tuples have `arity` columns; the first `key_arity` are the key.
   /// Plain relations use key_arity == arity (set semantics over whole
   /// tuples); aggregated relations use key_arity == number of independent
@@ -87,6 +102,27 @@ class TupleBTree {
   bool erase_key(std::span<const value_t> key);
 
   void clear();
+
+  /// Replace the contents with `rows`: flat row-major rows whose keys
+  /// strictly increase (and which do not point into this tree).  Builds
+  /// bottom-up, without key comparisons: leaves are packed with up to
+  /// kLeafCap rows, spread evenly, and each inner level is cut the same
+  /// way.  Invalidates cursors.
+  void assign_sorted(std::span<const value_t> rows);
+
+  /// Merge `run` — flat rows whose keys strictly increase — into the tree
+  /// in one pass over the leaf chain, then rebuild it with assign_sorted.
+  /// A leaf whose last key lies below the next run key is copied whole on
+  /// one comparison, so placing the run costs two comparisons per run
+  /// row, one per leaf, and one per stored row passed inside a leaf a run
+  /// row lands in — never a root descent per row.  Run rows
+  /// with an absent key are inserted.  For a key on both sides,
+  /// `fold(stored, incoming)` may rewrite the payload columns of `stored`
+  /// (the merged copy of the tree's row; its key columns must stay) and
+  /// returns whether it did.  Inserted and rewritten rows are appended to
+  /// `changed` in key order.  Every key comparison goes to comparisons().
+  template <typename Fold>
+  void merge_sorted(std::span<const value_t> run, std::vector<value_t>& changed, Fold&& fold);
 
  private:
   struct Node {
@@ -226,21 +262,18 @@ class TupleBTree {
   // -- instrumentation --------------------------------------------------------
 
   [[nodiscard]] std::uint64_t comparisons() const { return comparisons_; }
-  [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
   void reset_counters() const { comparisons_ = 0; }
 
   /// Rough resident size, for memory-pressure modelling.
   [[nodiscard]] std::size_t approx_bytes() const;
 
   /// Structural invariant check (test hook): sortedness, fanout bounds,
-  /// separator correctness, leaf-chain completeness.  Aborts via assert on
-  /// violation; returns tuple count seen.
+  /// separator correctness, leaf-chain completeness, row count.  Throws
+  /// std::logic_error naming the first violated invariant, in every build;
+  /// returns the tuple count seen.
   [[nodiscard]] std::size_t check_invariants() const;
 
  private:
-  static constexpr std::size_t kLeafCap = 32;
-  static constexpr std::size_t kInnerCap = 32;
-
   [[nodiscard]] std::strong_ordering cmp_key(std::span<const value_t> a,
                                              std::span<const value_t> b,
                                              std::size_t ncols) const;
@@ -260,7 +293,48 @@ class TupleBTree {
   std::size_t size_ = 0;
   std::unique_ptr<Node> root_;
   mutable std::uint64_t comparisons_ = 0;
-  std::uint64_t inserts_ = 0;
 };
+
+template <typename Fold>
+void TupleBTree::merge_sorted(std::span<const value_t> run, std::vector<value_t>& changed,
+                              Fold&& fold) {
+  assert(run.size() % arity_ == 0);
+  const auto append = [](std::vector<value_t>& to, std::span<const value_t> row) {
+    to.insert(to.end(), row.begin(), row.end());
+  };
+  std::vector<value_t> out;
+  out.reserve(size_ * arity_ + run.size());
+  std::size_t ri = 0;  // offset of the next run row
+  for (const Leaf* l = leftmost_leaf(); l != nullptr; l = l->next) {
+    const std::size_t n = leaf_rows(*l);
+    std::size_t i = 0;
+    // Each pass places one run row that lands in this leaf: its key is at
+    // most the leaf's last key, so the scan below stops inside the leaf.
+    while (i < n && ri < run.size() &&
+           cmp_key(leaf_row(*l, n - 1), run.subspan(ri, arity_), key_arity_) >= 0) {
+      const auto in = run.subspan(ri, arity_);
+      ri += arity_;
+      auto c = cmp_key(leaf_row(*l, i), in, key_arity_);
+      for (; c < 0; c = cmp_key(leaf_row(*l, i), in, key_arity_)) {
+        append(out, leaf_row(*l, i++));
+      }
+      if (c > 0) {
+        append(out, in);
+        append(changed, in);
+        continue;
+      }
+      append(out, leaf_row(*l, i++));
+      const std::span<value_t> stored(out.data() + out.size() - arity_, arity_);
+      if (fold(stored, in)) append(changed, stored);
+    }
+    out.insert(out.end(), l->vals.begin() + static_cast<std::ptrdiff_t>(i * arity_),
+               l->vals.end());
+  }
+  for (; ri < run.size(); ri += arity_) {
+    append(out, run.subspan(ri, arity_));
+    append(changed, run.subspan(ri, arity_));
+  }
+  assign_sorted(out);
+}
 
 }  // namespace paralagg::storage

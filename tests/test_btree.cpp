@@ -1,5 +1,5 @@
-// TupleBTree: insertion, lookup, prefix scans, cursors, structural
-// invariants.
+// TupleBTree: insertion, lookup, prefix scans, cursors, bulk building and
+// sorted-run merges, structural invariants.
 
 #include "storage/btree.hpp"
 
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace paralagg::storage {
@@ -356,6 +357,71 @@ TEST(BTree, SortedSeeksCostFewerComparisonsThanFreshScans) {
   EXPECT_LT(sorted_cmps, fresh_cmps);
 }
 
+TEST(BTree, SortedRunMergeCostsFewerComparisonsThanPerRowInserts) {
+  // The insert-side twin: placing a sorted run by one merge pass must cost
+  // strictly fewer counted key comparisons than inserting the same rows
+  // one by one, and must leave the same tree.
+  std::vector<value_t> base;
+  for (value_t v = 0; v < 20000; ++v) base.insert(base.end(), {2 * v, v});
+  std::vector<value_t> run;
+  for (value_t v = 0; v < 40000; v += 7) run.insert(run.end(), {v, v});
+
+  TupleBTree per_row(2, 1), merged(2, 1);
+  per_row.assign_sorted(base);
+  merged.assign_sorted(base);
+  EXPECT_EQ(per_row.comparisons(), 0u);  // bulk building compares nothing
+
+  for (std::size_t off = 0; off < run.size(); off += 2) {
+    per_row.insert(std::span<const value_t>(run).subspan(off, 2));
+  }
+  std::vector<value_t> changed;
+  merged.merge_sorted(run, changed, [](std::span<value_t>, std::span<const value_t>) {
+    return false;  // keep stored rows, like insert
+  });
+
+  EXPECT_EQ(merged.check_invariants(), per_row.size());
+  std::vector<Tuple> a, b;
+  per_row.for_each([&](std::span<const value_t> row) { a.emplace_back(row); });
+  merged.for_each([&](std::span<const value_t> row) { b.emplace_back(row); });
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(changed.size() / 2, per_row.size() - base.size() / 2);  // the inserted rows
+  EXPECT_LT(merged.comparisons(), per_row.comparisons());
+}
+
+TEST(BTree, AssignSortedBuildsValidTrees) {
+  // Empty, one row, one full leaf, one past it (two leaves under a root),
+  // and one past a full two-level tree (three levels).
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, TupleBTree::kLeafCap,
+                              TupleBTree::kLeafCap + 1,
+                              TupleBTree::kLeafCap * TupleBTree::kInnerCap + 1}) {
+    SCOPED_TRACE("rows " + std::to_string(n));
+    TupleBTree t(2, 1);
+    for (value_t v = 0; v < 50; ++v) t.insert(Tuple{v * 3 + 1, 9});  // replaced below
+    std::vector<value_t> rows;
+    for (value_t v = 0; v < n; ++v) rows.insert(rows.end(), {2 * v, 7 * v});
+    t.assign_sorted(rows);
+    ASSERT_EQ(t.check_invariants(), n);
+    std::vector<value_t> seen;
+    t.for_each([&](std::span<const value_t> row) {
+      seen.insert(seen.end(), row.begin(), row.end());
+    });
+    EXPECT_EQ(seen, rows);
+    auto c = t.cursor();
+    for (value_t v = 0; v < n; ++v) {
+      const value_t key[] = {2 * v};
+      ASSERT_FALSE(t.find_key(std::span<const value_t>(key, 1)).empty()) << v;
+      const value_t gap[] = {2 * v + 1};
+      EXPECT_TRUE(t.find_key(std::span<const value_t>(gap, 1)).empty()) << v;
+      c.seek(std::span<const value_t>(key, 1));
+      ASSERT_TRUE(c.valid());
+      EXPECT_EQ(c.row()[1], 7 * v);
+    }
+    // Packed leaves still split correctly under inserts into the gaps.
+    for (value_t v = 0; v < n; ++v) ASSERT_TRUE(t.insert(Tuple{2 * v + 1, 0}));
+    EXPECT_EQ(t.check_invariants(), 2 * n);
+  }
+}
+
 TEST(BTree, ClearEmptiesTree) {
   TupleBTree t(2, 2);
   for (value_t v = 0; v < 500; ++v) t.insert(Tuple{v, v});
@@ -393,84 +459,126 @@ TEST(BTree, ApproxBytesGrowsWithContent) {
 }
 
 TEST(BTree, FuzzAgainstStdMap) {
-  // Randomized differential test: interleaved inserts, lookups, payload
-  // rewrites, prefix scans, and monotone cursor batches against a
-  // std::map reference.
-  TupleBTree tree(3, 2);
-  std::map<std::pair<value_t, value_t>, value_t> ref;
-  value_t state = 12345;
-  const auto rnd = [&](value_t bound) {
-    state = mix64(state);
-    return state % bound;
-  };
-  for (int op = 0; op < 20000; ++op) {
-    const value_t k1 = rnd(64), k2 = rnd(16);
-    switch (rnd(5)) {
-      case 0: {  // insert
-        const value_t payload = rnd(1000);
-        const bool fresh = ref.emplace(std::make_pair(k1, k2), payload).second;
-        EXPECT_EQ(tree.insert(Tuple{k1, k2, payload}), fresh);
-        break;
-      }
-      case 1: {  // point lookup
-        const value_t key[] = {k1, k2};
-        const auto row = std::as_const(tree).find_key(std::span<const value_t>(key, 2));
-        const auto it = ref.find({k1, k2});
-        if (it == ref.end()) {
-          EXPECT_TRUE(row.empty());
-        } else {
-          ASSERT_FALSE(row.empty());
-          EXPECT_EQ(row[2], it->second);
+  // Randomized differential test: interleaved inserts, erases, lookups,
+  // payload rewrites, sorted-run merges, prefix scans, and monotone cursor
+  // batches against a std::map reference, from an empty and from a
+  // bulk-built tree.
+  for (const bool bulk : {false, true}) {
+    SCOPED_TRACE(bulk ? "bulk-built start" : "empty start");
+    TupleBTree tree(3, 2);
+    std::map<std::pair<value_t, value_t>, value_t> ref;
+    value_t state = 12345;
+    const auto rnd = [&](value_t bound) {
+      state = mix64(state);
+      return state % bound;
+    };
+    if (bulk) {
+      for (int i = 0; i < 600; ++i) ref.emplace(std::make_pair(rnd(64), rnd(16)), rnd(1000));
+      std::vector<value_t> rows;
+      for (const auto& [k, v] : ref) rows.insert(rows.end(), {k.first, k.second, v});
+      tree.assign_sorted(rows);
+      ASSERT_EQ(tree.check_invariants(), ref.size());
+    }
+    for (int op = 0; op < 20000; ++op) {
+      const value_t k1 = rnd(64), k2 = rnd(16);
+      switch (rnd(8)) {
+        case 0: {  // insert
+          const value_t payload = rnd(1000);
+          const bool fresh = ref.emplace(std::make_pair(k1, k2), payload).second;
+          EXPECT_EQ(tree.insert(Tuple{k1, k2, payload}), fresh);
+          break;
         }
-        break;
-      }
-      case 2: {  // payload rewrite (the fused-aggregation hot path)
-        const value_t key[] = {k1, k2};
-        const std::span<value_t> row = tree.find_key(std::span<const value_t>(key, 2));
-        auto it = ref.find({k1, k2});
-        ASSERT_EQ(!row.empty(), it != ref.end());
-        if (!row.empty()) {
-          const value_t v = rnd(1000);
-          row[2] = v;
-          it->second = v;
-        }
-        break;
-      }
-      case 3: {  // prefix scan over k1
-        const value_t prefix[] = {k1};
-        std::vector<std::pair<value_t, value_t>> got;
-        tree.scan_prefix(
-            std::span<const value_t>(prefix, 1),
-            [&](std::span<const value_t> row) { got.emplace_back(row[1], row[2]); });
-        std::vector<std::pair<value_t, value_t>> want;
-        for (auto it = ref.lower_bound({k1, 0}); it != ref.end() && it->first.first == k1;
-             ++it) {
-          want.emplace_back(it->first.second, it->second);
-        }
-        EXPECT_EQ(got, want) << "prefix " << k1 << " at op " << op;
-        break;
-      }
-      default: {  // ascending cursor batch over a few prefixes from k1
-        auto c = tree.cursor();
-        for (value_t p = k1; p < k1 + 5; ++p) {
-          const value_t prefix[] = {p};
-          const auto pre = std::span<const value_t>(prefix, 1);
-          std::vector<std::pair<value_t, value_t>> got;
-          for (c.seek(pre); c.valid() && c.matches(pre); c.next()) {
-            got.emplace_back(c.row()[1], c.row()[2]);
+        case 1: {  // point lookup
+          const value_t key[] = {k1, k2};
+          const auto row = std::as_const(tree).find_key(std::span<const value_t>(key, 2));
+          const auto it = ref.find({k1, k2});
+          if (it == ref.end()) {
+            EXPECT_TRUE(row.empty());
+          } else {
+            ASSERT_FALSE(row.empty());
+            EXPECT_EQ(row[2], it->second);
           }
+          break;
+        }
+        case 2: {  // payload rewrite (the fused-aggregation hot path)
+          const value_t key[] = {k1, k2};
+          const std::span<value_t> row = tree.find_key(std::span<const value_t>(key, 2));
+          auto it = ref.find({k1, k2});
+          ASSERT_EQ(!row.empty(), it != ref.end());
+          if (!row.empty()) {
+            const value_t v = rnd(1000);
+            row[2] = v;
+            it->second = v;
+          }
+          break;
+        }
+        case 3: {  // prefix scan over k1
+          const value_t prefix[] = {k1};
+          std::vector<std::pair<value_t, value_t>> got;
+          tree.scan_prefix(
+              std::span<const value_t>(prefix, 1),
+              [&](std::span<const value_t> row) { got.emplace_back(row[1], row[2]); });
           std::vector<std::pair<value_t, value_t>> want;
-          for (auto it = ref.lower_bound({p, 0}); it != ref.end() && it->first.first == p;
+          for (auto it = ref.lower_bound({k1, 0}); it != ref.end() && it->first.first == k1;
                ++it) {
             want.emplace_back(it->first.second, it->second);
           }
-          EXPECT_EQ(got, want) << "cursor prefix " << p << " at op " << op;
+          EXPECT_EQ(got, want) << "prefix " << k1 << " at op " << op;
+          break;
         }
-        break;
+        case 4: {  // erase (may leave empty leaves in the chain)
+          const value_t key[] = {k1, k2};
+          EXPECT_EQ(tree.erase_key(std::span<const value_t>(key, 2)), ref.erase({k1, k2}) > 0);
+          break;
+        }
+        case 5: {  // merge a sorted run of up to 8 keys, folding by MIN
+          std::map<std::pair<value_t, value_t>, value_t> batch;
+          for (value_t i = rnd(8) + 1; i > 0; --i) {
+            batch.emplace(std::make_pair(rnd(64), rnd(16)), rnd(1000));
+          }
+          std::vector<value_t> run, want;
+          for (const auto& [k, v] : batch) {
+            run.insert(run.end(), {k.first, k.second, v});
+            auto [it, fresh] = ref.emplace(k, v);
+            if (!fresh && v >= it->second) continue;
+            it->second = v;
+            want.insert(want.end(), {k.first, k.second, v});
+          }
+          std::vector<value_t> changed;
+          tree.merge_sorted(run, changed,
+                            [](std::span<value_t> stored, std::span<const value_t> in) {
+                              if (in[2] >= stored[2]) return false;
+                              stored[2] = in[2];
+                              return true;
+                            });
+          EXPECT_EQ(changed, want) << "merge at op " << op;
+          break;
+        }
+        default: {  // ascending cursor batch over a few prefixes from k1
+          auto c = tree.cursor();
+          for (value_t p = k1; p < k1 + 5; ++p) {
+            const value_t prefix[] = {p};
+            const auto pre = std::span<const value_t>(prefix, 1);
+            std::vector<std::pair<value_t, value_t>> got;
+            for (c.seek(pre); c.valid() && c.matches(pre); c.next()) {
+              got.emplace_back(c.row()[1], c.row()[2]);
+            }
+            std::vector<std::pair<value_t, value_t>> want;
+            for (auto it = ref.lower_bound({p, 0}); it != ref.end() && it->first.first == p;
+                 ++it) {
+              want.emplace_back(it->first.second, it->second);
+            }
+            EXPECT_EQ(got, want) << "cursor prefix " << p << " at op " << op;
+          }
+          break;
+        }
+      }
+      if (op % 1000 == 999) {
+        ASSERT_EQ(tree.check_invariants(), ref.size()) << "op " << op;
       }
     }
+    EXPECT_EQ(tree.check_invariants(), ref.size());
   }
-  EXPECT_EQ(tree.check_invariants(), ref.size());
 }
 
 // Parameterized sweep: invariants hold across arities and orderings.

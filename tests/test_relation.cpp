@@ -1,5 +1,5 @@
 // Relation: config validation, double-hashed distribution, staging, fused
-// dedup/aggregation, fact loading, reshuffling.
+// dedup/aggregation against a reference fold, fact loading, reshuffling.
 
 #include "core/relation.hpp"
 
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "vmpi/runtime.hpp"
@@ -162,14 +163,14 @@ TEST(Relation, PlainMaterializeDeduplicates) {
 
 TEST(Relation, FusedAggregationCollapsesWithinIteration) {
   // Paper §IV-A: local aggregation collapses duplicates of a key before
-  // they ever touch the B-tree.
+  // they ever touch the B-tree — in materialize()'s sort-fold.
   vmpi::run(1, [&](vmpi::Comm& comm) {
     Relation r(comm, min3());
     r.stage(Tuple{1, 2, 50}.view());
     r.stage(Tuple{1, 2, 30}.view());
     r.stage(Tuple{1, 2, 40}.view());
-    EXPECT_EQ(r.staged_count(), 1u);  // one key
     auto m = r.materialize();
+    EXPECT_EQ(m.staged, 1u);  // one key
     EXPECT_EQ(m.inserted, 1u);
     const value_t key[] = {1, 2};
     const auto row = r.tree(Version::kFull).find_key(std::span<const value_t>(key, 2));
@@ -199,6 +200,101 @@ TEST(Relation, FusedAggregationAscendsAcrossIterations) {
     EXPECT_EQ(r.tree(Version::kFull).find_key(std::span<const value_t>(key, 2))[2], 20u);
     EXPECT_EQ(r.local_size(Version::kFull), 1u);  // collapsed, not accumulated
   });
+}
+
+TEST(Relation, MaterializeMatchesReferenceFold) {
+  // materialize() against a std::map fold, for plain, MIN-lattice and
+  // SUM-refresh relations keyed on (a, b).  Batches alternate between runs
+  // large against full (merge path) and small ones (per-key path); the
+  // duplicate-heavy batch makes staging fold in place.
+  enum class Kind { kPlain, kMin, kSumRefresh };
+  struct Batch {
+    std::size_t rows;
+    value_t keys;  // rows draw their key from [0, keys)
+  };
+  const Batch batches[] = {{3000, 4096}, {20, 4096}, {6000, 4096},   {40, 4096},
+                           {20000, 300}, {5, 4096},  {12000, 16384}, {1, 4096}};
+  for (const Kind kind : {Kind::kPlain, Kind::kMin, Kind::kSumRefresh}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    vmpi::run(1, [&](vmpi::Comm& comm) {
+      RelationConfig cfg = kind == Kind::kPlain ? plain2() : min3();
+      if (kind == Kind::kSumRefresh) {
+        cfg.aggregator = make_sum_aggregator();
+        cfg.agg_mode = AggMode::kRefresh;
+      }
+      Relation r(comm, cfg);
+      using Key = std::pair<value_t, value_t>;
+      std::map<Key, value_t> full;  // plain relations store 0
+      value_t state = 99;
+      const auto rnd = [&](value_t bound) {
+        state = storage::mix64(state);
+        return state % bound;
+      };
+      int per_key = 0, merged = 0;
+      for (const Batch& b : batches) {
+        std::map<Key, value_t> folded;
+        for (std::size_t i = 0; i < b.rows; ++i) {
+          const value_t k = rnd(b.keys);
+          const Key key{k % 64, k / 64};
+          const value_t dep = rnd(1000);
+          if (kind == Kind::kPlain) {
+            r.stage(Tuple{key.first, key.second}.view());
+            folded.emplace(key, 0);
+          } else {
+            r.stage(Tuple{key.first, key.second, dep}.view());
+            auto [it, fresh] = folded.emplace(key, dep);
+            if (!fresh) {
+              it->second = kind == Kind::kMin ? std::min(it->second, dep) : it->second + dep;
+            }
+          }
+          // Staging never holds much more than twice its distinct keys.
+          ASSERT_LT(r.staged_count(),
+                    std::max(Relation::kFoldFloor, 2 * folded.size() + 1));
+        }
+        (folded.size() * Relation::kPerKeyRatio < full.size() ? per_key : merged)++;
+
+        std::map<Key, value_t> delta;
+        std::uint64_t updated = 0;
+        if (kind == Kind::kSumRefresh) {
+          full = folded;
+        } else {
+          for (const auto& [key, dep] : folded) {
+            auto [it, fresh] = full.emplace(key, dep);
+            if (fresh) {
+              delta.emplace(key, dep);
+            } else if (dep < it->second) {  // only MIN can ascend a stored key
+              it->second = dep;
+              delta.emplace(key, dep);
+              ++updated;
+            }
+          }
+        }
+        const auto m = r.materialize();
+        EXPECT_EQ(m.staged, folded.size());
+        EXPECT_EQ(m.updated, updated);
+        EXPECT_EQ(m.inserted,
+                  kind == Kind::kSumRefresh ? folded.size() : delta.size() - updated);
+        EXPECT_EQ(m.rejected, kind == Kind::kSumRefresh ? 0 : folded.size() - delta.size());
+        EXPECT_EQ(m.delta_size, delta.size());
+        EXPECT_EQ(r.staged_count(), 0u);
+
+        const auto contents = [&](Version v) {
+          std::map<Key, value_t> got;
+          EXPECT_EQ(r.tree(v).check_invariants(), r.local_size(v));
+          r.tree(v).for_each([&](std::span<const value_t> row) {
+            got.emplace(Key{row[0], row[1]}, kind == Kind::kPlain ? 0 : row[2]);
+          });
+          return got;
+        };
+        EXPECT_EQ(contents(Version::kFull), full);
+        EXPECT_EQ(contents(Version::kDelta), delta);
+      }
+      if (kind != Kind::kSumRefresh) {
+        EXPECT_GT(per_key, 0);
+        EXPECT_GT(merged, 0);
+      }
+    });
+  }
 }
 
 TEST(Relation, RefreshModeReplacesState) {
