@@ -1,7 +1,8 @@
 // Microbenchmarks: the fused deduplication/aggregation pass (paper §IV-A)
 // — staging throughput and materialization, aggregated vs plain, the
-// within-iteration collapse that makes local aggregation pay, and the two
-// ways materialize() places a run into the full tree.
+// within-iteration collapse that makes local aggregation pay, the two
+// ways materialize() places a run into the full tree, and the row-frame
+// codec every folded run crosses ranks in.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/relation.hpp"
+#include "vmpi/row_frame.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace {
@@ -151,5 +153,75 @@ BENCHMARK(BM_RunIntoTree)
     ->ArgNames({"rows", "ratio", "merge"})
     ->ArgsProduct({{1 << 12, 1 << 15, 1 << 18}, {4, 16, 32, 64, 128, 512}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+
+enum class RunShape { kSssp, kCc, kPagerank };
+
+/// A key-sorted, key-unique run shaped like one router bucket after a
+/// fold: ascending node ids owned by one of four ranks.  SSSP rows are
+/// spath (to, from, dist) with a few hub sources per node; CC rows are
+/// (node, label) with small component-minimum labels; PageRank rows are
+/// (node, share) with 40-bit fixed-point shares.
+std::vector<value_t> codec_run(RunShape shape, std::size_t rows) {
+  std::vector<value_t> run;
+  value_t node = 0;
+  for (std::size_t i = 0; i < rows;) {
+    node += 1 + mix64(node) % 7;
+    switch (shape) {
+      case RunShape::kSssp:
+        for (value_t s = 0; s < 3 && i < rows; ++s, ++i) {
+          run.insert(run.end(), {node, 1000 + 37 * s, 20 + mix64(node + s) % 400});
+        }
+        break;
+      case RunShape::kCc:
+        run.insert(run.end(), {node, mix64(node) % 64});
+        ++i;
+        break;
+      case RunShape::kPagerank:
+        run.insert(run.end(), {node, mix64(node) >> 24});
+        ++i;
+        break;
+    }
+  }
+  return run;
+}
+
+void BM_RowCodec(benchmark::State& state, RunShape shape, bool decode) {
+  // One 4096-row run (the fold floor) encoded into, or decoded from, a
+  // row-frame section.  row_s is seconds per row; bytes_per_row against
+  // 8 × arity raw.
+  constexpr std::size_t kRows = 4096;
+  const std::size_t arity = shape == RunShape::kSssp ? 3 : 2;
+  const auto run = codec_run(shape, kRows);
+  vmpi::RowFrameWriter w;
+  w.section(0, arity, run);
+  const vmpi::Bytes frame = w.take();
+  std::vector<value_t> out;
+  for (auto _ : state) {
+    if (decode) {
+      out.clear();
+      vmpi::RowFrameReader r(frame);
+      r.section(1, [&](std::uint64_t) { return arity; }, out);
+      benchmark::DoNotOptimize(out.data());
+    } else {
+      vmpi::RowFrameWriter enc;
+      enc.section(0, arity, run);
+      const vmpi::Bytes encoded = enc.take();
+      benchmark::DoNotOptimize(encoded.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  const auto rows = static_cast<double>(state.iterations() * kRows);
+  state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+  state.counters["row_s"] =
+      benchmark::Counter(rows, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["bytes_per_row"] =
+      static_cast<double>(frame.size()) / static_cast<double>(kRows);
+}
+BENCHMARK_CAPTURE(BM_RowCodec, sssp_encode, RunShape::kSssp, false);
+BENCHMARK_CAPTURE(BM_RowCodec, sssp_decode, RunShape::kSssp, true);
+BENCHMARK_CAPTURE(BM_RowCodec, cc_encode, RunShape::kCc, false);
+BENCHMARK_CAPTURE(BM_RowCodec, cc_decode, RunShape::kCc, true);
+BENCHMARK_CAPTURE(BM_RowCodec, pagerank_encode, RunShape::kPagerank, false);
+BENCHMARK_CAPTURE(BM_RowCodec, pagerank_decode, RunShape::kPagerank, true);
 
 }  // namespace

@@ -24,13 +24,17 @@
 //
 // --verdict turns the chart into a gate (exit 0/1):
 //   (a) every staleness setting reaches the BSP fixpoint bit-identically
-//       (clean AND straggler legs),
+//       (clean AND straggler legs), and
 //   (b) a dup+reorder fault leg stays bit-identical AND folds each
 //       (source, epoch) partial exactly once (the reliable channel really
 //       discards the injected duplicates, and the ledger never rejects a
-//       frame), and
-//   (c) at least one staleness setting shows lower exposed wait than BSP
-//       under the straggler.
+//       frame).
+// It also prints, as advice only, (c): whether some staleness setting
+// showed lower exposed wait than BSP under the straggler, with the margin.
+// Wall seconds only advise: a window can overlap at most one PageRank
+// epoch's scan with the stall (epoch e + 1 scans the fold of epoch e) —
+// a few ms against a 0.25 s stall — and the SSP side is the best of 15
+// runs against BSP's 3, so (c) passed about half the time either way.
 
 #include <algorithm>
 #include <cstdio>
@@ -267,18 +271,16 @@ int main(int argc, char** argv) {
   rule(56);
   std::printf("\nexactly-once fold counts under injected dup/reorder: %s\n",
               folds_exact ? "exact" : "VIOLATED");
-  if (wait_improves) {
-    std::printf("exposed wait under straggler: %s beats bsp+stall (%.3fs < %.3fs)\n",
-                best_ssp_name.c_str(), best_ssp_wait, slow_bsp.wait_s);
-  } else {
-    std::printf("exposed wait under straggler: no window beat bsp+stall (%.3fs vs %.3fs)\n",
-                best_ssp_wait, slow_bsp.wait_s);
-  }
+  std::printf("exposed wait under straggler (advice, not gated): best %s %.3fs vs "
+              "bsp+stall %.3fs, margin %+.3fs%s\n",
+              best_ssp_name.c_str(), best_ssp_wait, slow_bsp.wait_s,
+              slow_bsp.wait_s - best_ssp_wait,
+              wait_improves ? "" : " (no window beat bsp+stall)");
 
   if (!verdict) return 0;
-  const bool pass = all_exact && fault_exact && folds_exact && wait_improves;
-  std::printf("\nverdict: %s (exact=%d fault_exact=%d folds_exact=%d wait_improves=%d)\n",
-              pass ? "PASS" : "FAIL", all_exact, fault_exact, folds_exact,
-              wait_improves);
+  const bool pass = all_exact && fault_exact && folds_exact;
+  std::printf("\nverdict: %s (exact=%d fault_exact=%d folds_exact=%d; advice: "
+              "wait_improves=%d)\n",
+              pass ? "PASS" : "FAIL", all_exact, fault_exact, folds_exact, wait_improves);
   return pass ? 0 : 1;
 }

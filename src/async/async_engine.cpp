@@ -14,7 +14,7 @@
 #include "core/ra_op.hpp"
 #include "core/relation.hpp"
 #include "vmpi/fault.hpp"
-#include "vmpi/serialize.hpp"
+#include "vmpi/row_frame.hpp"
 
 namespace paralagg::async {
 
@@ -311,8 +311,15 @@ class StratumLoop {
 
   // -- outbound ---------------------------------------------------------------
 
+  [[nodiscard]] std::size_t stage_arity(std::uint64_t out_idx) const {
+    return targets_[out_idx]->arity();
+  }
+  [[nodiscard]] std::size_t probe_arity(std::uint64_t join_idx) const {
+    return joins_[join_idx].rule->a->arity();
+  }
+
   /// Ship one app frame and credit it to the Safra counters.
-  void send_app(int dst, int tag, vmpi::TypedWriter<value_t>& w) {
+  void send_app(int dst, int tag, vmpi::RowFrameWriter& w) {
     comm_.isend(dst, tag, w.take());
     detector_.on_app_send();
     ++ls_.messages_sent;
@@ -322,14 +329,12 @@ class StratumLoop {
     auto& buf = stage_out_[out_idx * nranks_ + dest];
     if (buf.empty()) return;
     PhaseScope scope(comm_, profile_, Phase::kAllToAll);
-    const auto count = buf.size() / targets_[out_idx]->arity();
-    vmpi::TypedWriter<value_t> w(buf.size() + 2);
-    w.put(static_cast<value_t>(out_idx));
-    w.put(static_cast<value_t>(count));
-    w.put_span(std::span<const value_t>(buf));
+    const std::size_t arity = stage_arity(out_idx);
+    vmpi::RowFrameWriter w;
+    w.section(out_idx, arity, buf);
     send_app(static_cast<int>(dest), kTagStage, w);
-    ls_.stage_rows_sent += count;
-    profile_.add_work(Phase::kAllToAll, count);
+    ls_.stage_rows_sent += buf.size() / arity;
+    profile_.add_work(Phase::kAllToAll, buf.size() / arity);
     buf.clear();
   }
 
@@ -337,14 +342,12 @@ class StratumLoop {
     auto& buf = probe_out_[join_idx * nranks_ + dest];
     if (buf.empty()) return;
     PhaseScope scope(comm_, profile_, Phase::kAllToAll);
-    const auto count = buf.size() / joins_[join_idx].rule->a->arity();
-    vmpi::TypedWriter<value_t> w(buf.size() + 2);
-    w.put(static_cast<value_t>(join_idx));
-    w.put(static_cast<value_t>(count));
-    w.put_span(std::span<const value_t>(buf));
+    const std::size_t arity = probe_arity(join_idx);
+    vmpi::RowFrameWriter w;
+    w.section(join_idx, arity, buf);
     send_app(static_cast<int>(dest), kTagProbe, w);
-    ls_.probe_rows_sent += count;
-    profile_.add_work(Phase::kAllToAll, count);
+    ls_.probe_rows_sent += buf.size() / arity;
+    profile_.add_work(Phase::kAllToAll, buf.size() / arity);
     buf.clear();
   }
 
@@ -367,16 +370,13 @@ class StratumLoop {
     for (std::size_t d = 0; d < nranks_; ++d) {
       if (d == me) continue;
       {
-        vmpi::TypedWriter<value_t> w;
+        vmpi::RowFrameWriter w;
         std::uint64_t rows = 0;
         for (std::size_t i = 0; i < targets_.size(); ++i) {
           auto& buf = stage_out_[i * nranks_ + d];
           if (buf.empty()) continue;
-          const auto count = buf.size() / targets_[i]->arity();
-          w.put(static_cast<value_t>(i));
-          w.put(static_cast<value_t>(count));
-          w.put_span(std::span<const value_t>(buf));
-          rows += count;
+          w.section(i, stage_arity(i), buf);
+          rows += buf.size() / stage_arity(i);
           buf.clear();
         }
         if (!w.empty()) {
@@ -387,16 +387,13 @@ class StratumLoop {
         }
       }
       {
-        vmpi::TypedWriter<value_t> w;
+        vmpi::RowFrameWriter w;
         std::uint64_t rows = 0;
         for (std::size_t j = 0; j < joins_.size(); ++j) {
           auto& buf = probe_out_[j * nranks_ + d];
           if (buf.empty()) continue;
-          const auto count = buf.size() / joins_[j].rule->a->arity();
-          w.put(static_cast<value_t>(j));
-          w.put(static_cast<value_t>(count));
-          w.put_span(std::span<const value_t>(buf));
-          rows += count;
+          w.section(j, probe_arity(j), buf);
+          rows += buf.size() / probe_arity(j);
           buf.clear();
         }
         if (!w.empty()) {
@@ -434,53 +431,35 @@ class StratumLoop {
 
   void on_stage(std::span<const std::byte> payload) {
     PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
-    vmpi::TypedReader<value_t> r(payload);
+    vmpi::RowFrameReader r(payload);
     std::uint64_t rows = 0;
     while (!r.done()) {
-      if (r.remaining() < 2) {
-        throw vmpi::FrameDecodeError("async: stage frame truncated before row count");
-      }
-      const auto idx = static_cast<std::size_t>(r.get());
-      if (idx >= targets_.size()) {
-        throw vmpi::FrameDecodeError("async: stage frame names an unknown route");
-      }
-      Relation& rel = *targets_[idx];
-      const auto count = static_cast<std::size_t>(r.get());
-      if (count > r.remaining() / rel.arity()) {
-        throw vmpi::FrameDecodeError("async: stage frame row count overruns payload");
-      }
-      rel.stage_rows(r.take_span(count * rel.arity()));
-      rows += count;
+      rows_scratch_.clear();
+      const auto s = r.section(
+          targets_.size(), [&](std::uint64_t i) { return stage_arity(i); }, rows_scratch_);
+      targets_[s.route]->stage_rows(rows_scratch_);
+      rows += s.count;
     }
     profile_.add_work(Phase::kDedupAgg, rows);
   }
 
   void on_probe(std::span<const std::byte> payload) {
     PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
-    vmpi::TypedReader<value_t> r(payload);
+    vmpi::RowFrameReader r(payload);
     std::uint64_t rows = 0;
     while (!r.done()) {
-      if (r.remaining() < 2) {
-        throw vmpi::FrameDecodeError("async: probe frame truncated before row count");
-      }
-      const auto j = static_cast<std::size_t>(r.get());
-      if (j >= joins_.size()) {
-        throw vmpi::FrameDecodeError("async: probe frame names an unknown join rule");
-      }
-      const JoinTask& task = joins_[j];
-      const std::size_t arity = task.rule->a->arity();
-      const auto count = static_cast<std::size_t>(r.get());
-      if (count > r.remaining() / arity) {
-        throw vmpi::FrameDecodeError("async: probe frame row count overruns payload");
-      }
-      const auto flat = r.take_span(count * arity);
+      rows_scratch_.clear();
+      const auto s = r.section(
+          joins_.size(), [&](std::uint64_t j) { return probe_arity(j); }, rows_scratch_);
+      const JoinTask& task = joins_[s.route];
       // Frames are concatenations of delta scans, so rows arrive in sorted
       // runs; one cursor rides the runs and re-descends only at run seams.
       auto cur = task.rule->b->tree(Version::kFull).cursor();
-      for (std::size_t off = 0; off < flat.size(); off += arity) {
-        probe_row(task, flat.subspan(off, arity), cur);
+      const std::span<const value_t> flat(rows_scratch_);
+      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
+        probe_row(task, flat.subspan(off, s.arity), cur);
       }
-      rows += count;
+      rows += s.count;
     }
     profile_.add_work(Phase::kLocalJoin, rows);
   }
@@ -527,6 +506,7 @@ class StratumLoop {
   std::size_t stale_rounds_ = 0;
   std::vector<int> dest_scratch_;
   Tuple out_scratch_;
+  std::vector<value_t> rows_scratch_;  // decoded section rows
 
   double last_progress_ = 0;  // progress-watchdog clock
 };
@@ -773,17 +753,14 @@ class SspStratumLoop {
       PhaseScope scope(comm_, profile_, Phase::kAllToAll);
       for (std::size_t d = 0; d < nranks_; ++d) {
         if (d == me) continue;
-        vmpi::TypedWriter<value_t> w;
-        w.put(static_cast<value_t>(e));
+        vmpi::RowFrameWriter w;
+        w.word(e);
         std::uint64_t rows = 0;
         for (std::size_t i = 0; i < targets_.size(); ++i) {
-          auto& buf = out[i * nranks_ + d];
+          const auto& buf = out[i * nranks_ + d];
           if (buf.empty()) continue;
-          const auto count = buf.size() / targets_[i]->arity();
-          w.put(static_cast<value_t>(i));
-          w.put(static_cast<value_t>(count));
-          w.put_span(std::span<const value_t>(buf));
-          rows += count;
+          w.section(i, target_arity(i), buf);
+          rows += buf.size() / target_arity(i);
         }
         send_app(static_cast<int>(d), kTagSspPartial, w);
         ls_.stage_rows_sent += rows;
@@ -864,7 +841,14 @@ class SspStratumLoop {
 
   // -- outbound ----------------------------------------------------------------
 
-  void send_app(int dst, int tag, vmpi::TypedWriter<value_t>& w) {
+  [[nodiscard]] std::size_t target_arity(std::uint64_t i) const {
+    return targets_[i]->arity();
+  }
+  [[nodiscard]] std::size_t probe_arity(std::uint64_t j) const {
+    return joins_[j].rule->a->arity();
+  }
+
+  void send_app(int dst, int tag, vmpi::RowFrameWriter& w) {
     comm_.isend(dst, tag, w.take());
     detector_.on_app_send();
     ++ls_.messages_sent;
@@ -875,17 +859,14 @@ class SspStratumLoop {
     const auto me = static_cast<std::size_t>(comm_.rank());
     for (std::size_t d = 0; d < nranks_; ++d) {
       if (d == me) continue;
-      vmpi::TypedWriter<value_t> w;
-      w.put(static_cast<value_t>(e));
+      vmpi::RowFrameWriter w;
+      w.word(e);
       std::uint64_t rows = 0;
       for (std::size_t j = 0; j < joins_.size(); ++j) {
         auto& buf = probe_out_[j * nranks_ + d];
         if (buf.empty()) continue;
-        const auto count = buf.size() / joins_[j].rule->a->arity();
-        w.put(static_cast<value_t>(j));
-        w.put(static_cast<value_t>(count));
-        w.put_span(std::span<const value_t>(buf));
-        rows += count;
+        w.section(j, probe_arity(j), buf);
+        rows += buf.size() / probe_arity(j);
         buf.clear();
       }
       send_app(static_cast<int>(d), kTagSspProbe, w);
@@ -914,9 +895,9 @@ class SspStratumLoop {
   // -- inbound -----------------------------------------------------------------
 
   void on_ssp_frame(int src, int tag, const vmpi::Bytes& bytes) {
-    vmpi::TypedReader<value_t> r(bytes);
+    vmpi::RowFrameReader r(bytes);
     if (r.done()) throw vmpi::FrameDecodeError("ssp: frame has no epoch word");
-    const auto e = static_cast<std::uint64_t>(r.get());
+    const std::uint64_t e = r.word();
     if (e >= epochs_total_) {
       throw vmpi::FrameDecodeError("ssp: frame epoch out of range");
     }
@@ -953,56 +934,38 @@ class SspStratumLoop {
     }
   }
 
-  void on_ssp_probe(std::uint64_t e, vmpi::TypedReader<value_t>& r) {
+  void on_ssp_probe(std::uint64_t e, vmpi::RowFrameReader& r) {
     PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
     EpochState& st = epoch_state(e);
     std::uint64_t rows = 0;
     while (!r.done()) {
-      if (r.remaining() < 2) {
-        throw vmpi::FrameDecodeError("ssp: probe frame truncated before row count");
-      }
-      const auto j = static_cast<std::size_t>(r.get());
-      if (j >= joins_.size()) {
-        throw vmpi::FrameDecodeError("ssp: probe frame names an unknown join rule");
-      }
-      const SspJoin& task = joins_[j];
-      const std::size_t arity = task.rule->a->arity();
-      const auto count = static_cast<std::size_t>(r.get());
-      if (count > r.remaining() / arity) {
-        throw vmpi::FrameDecodeError("ssp: probe frame row count overruns payload");
-      }
-      const auto flat = r.take_span(count * arity);
+      rows_scratch_.clear();
+      const auto s = r.section(
+          joins_.size(), [&](std::uint64_t j) { return probe_arity(j); }, rows_scratch_);
+      const SspJoin& task = joins_[s.route];
       auto cur = task.rule->b->tree(Version::kFull).cursor();
-      for (std::size_t off = 0; off < flat.size(); off += arity) {
-        join_probe_row(task, st, flat.subspan(off, arity), cur);
+      const std::span<const value_t> flat(rows_scratch_);
+      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
+        join_probe_row(task, st, flat.subspan(off, s.arity), cur);
       }
-      rows += count;
+      rows += s.count;
     }
     profile_.add_work(Phase::kLocalJoin, rows);
   }
 
-  void on_ssp_partial(std::uint64_t e, vmpi::TypedReader<value_t>& r) {
+  void on_ssp_partial(std::uint64_t e, vmpi::RowFrameReader& r) {
     PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
     EpochState& st = epoch_state(e);
     std::uint64_t rows = 0;
     while (!r.done()) {
-      if (r.remaining() < 2) {
-        throw vmpi::FrameDecodeError("ssp: partial frame truncated before row count");
+      rows_scratch_.clear();
+      const auto s = r.section(
+          targets_.size(), [&](std::uint64_t i) { return target_arity(i); }, rows_scratch_);
+      const std::span<const value_t> flat(rows_scratch_);
+      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
+        merge_acc(st.fold_acc[s.route], s.route, flat.subspan(off, s.arity));
       }
-      const auto i = static_cast<std::size_t>(r.get());
-      if (i >= targets_.size()) {
-        throw vmpi::FrameDecodeError("ssp: partial frame names an unknown target");
-      }
-      const std::size_t arity = targets_[i]->arity();
-      const auto count = static_cast<std::size_t>(r.get());
-      if (count > r.remaining() / arity) {
-        throw vmpi::FrameDecodeError("ssp: partial frame row count overruns payload");
-      }
-      const auto flat = r.take_span(count * arity);
-      for (std::size_t off = 0; off < flat.size(); off += arity) {
-        merge_acc(st.fold_acc[i], i, flat.subspan(off, arity));
-      }
-      rows += count;
+      rows += s.count;
     }
     profile_.add_work(Phase::kDedupAgg, rows);
   }
@@ -1060,6 +1023,7 @@ class SspStratumLoop {
   std::vector<int> dest_scratch_;
   Tuple out_scratch_;
   Tuple row_scratch_;
+  std::vector<value_t> rows_scratch_;  // decoded section rows
   double last_progress_ = 0;
 };
 

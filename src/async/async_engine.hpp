@@ -14,9 +14,9 @@
 //   delta frontier locally → isend generated rows point-to-point,
 //
 // and quiescence is decided by a Safra token ring (async::TerminationDetector)
-// instead of an allreduce.  Two message kinds circulate, both framed like
-// the ExchangeRouter wire format ([id | row_count | rows] in value_t units,
-// via TypedWriter/TypedReader).  Frames carry no integrity metadata: under
+// instead of an allreduce.  Two message kinds circulate, both vmpi row
+// frames (DESIGN.md §6.2) with one [id | count | rows] section per rule or
+// target, like the ExchangeRouter's.  Frames carry no integrity metadata: under
 // a message-faulting plan vmpi::ReliableChannel checks and deduplicates
 // every frame, so each receive balances exactly one Safra-counted send:
 //

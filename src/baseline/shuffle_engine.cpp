@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "storage/tuple.hpp"
+#include "vmpi/row_frame.hpp"
 
 namespace paralagg::baseline {
 
@@ -16,9 +17,40 @@ using storage::mix64;
 struct Tup3 {
   value_t a, b, c;
 };
-struct Tup2 {
-  value_t a, b;
-};
+
+// The comparators' per-iteration rows cross ranks as row frames, the same
+// codec as PARALAGG's per-iteration exchanges, so Table I compares
+// aggregation designs rather than wire formats.  As on PARALAGG's side
+// (load_facts), the one-shot input distribution keeps raw words.  Rows
+// keep their generation order.
+vmpi::Bytes encode_tups(const std::vector<Tup3>& rows) {
+  std::vector<value_t> flat;
+  flat.reserve(rows.size() * 3);
+  for (const auto& t : rows) flat.insert(flat.end(), {t.a, t.b, t.c});
+  return vmpi::encode_rows(3, flat);
+}
+
+std::vector<Tup3> decode_tups(std::span<const std::byte> frame) {
+  std::vector<value_t> flat;
+  vmpi::decode_rows(frame, 3, flat);
+  std::vector<Tup3> rows;
+  rows.reserve(flat.size() / 3);
+  for (std::size_t i = 0; i < flat.size(); i += 3) {
+    rows.push_back({flat[i], flat[i + 1], flat[i + 2]});
+  }
+  return rows;
+}
+
+/// One per-iteration all-to-all row shuffle.  Collective.
+std::vector<std::vector<Tup3>> shuffle(vmpi::Comm& comm,
+                                       const std::vector<std::vector<Tup3>>& send) {
+  std::vector<vmpi::Bytes> frames(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) frames[d] = encode_tups(send[d]);
+  const auto got = comm.alltoallv(std::move(frames));
+  std::vector<std::vector<Tup3>> out(got.size());
+  for (std::size_t s = 0; s < got.size(); ++s) out[s] = decode_tups(got[s]);
+  return out;
+}
 
 std::size_t owner1(value_t x, int n) { return static_cast<std::size_t>(mix64(x) % static_cast<std::uint64_t>(n)); }
 std::size_t owner2(value_t x, value_t y, int n) {
@@ -98,7 +130,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     // Hop 1: route the delta to the join owners (hash of the join column).
     std::vector<std::vector<Tup3>> to_join(static_cast<std::size_t>(n));
     for (const auto& t : delta) to_join[owner1(t.a, n)].push_back(t);
-    auto at_join = comm.alltoallv_t(to_join);
+    auto at_join = shuffle(comm, to_join);
 
     // Local join against the adjacency partition.
     std::vector<std::vector<Tup3>> candidates(static_cast<std::size_t>(n));
@@ -122,7 +154,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     // Hop 2: aggregation exchange.
     std::vector<Tup3> changed;
     if (opts.mode == ShuffleMode::kShuffle) {
-      auto at_reducer = comm.alltoallv_t(candidates);
+      auto at_reducer = shuffle(comm, candidates);
       for (const auto& buf : at_reducer) {
         for (const auto& t : buf) {
           auto& slot = best[t.a];
@@ -135,7 +167,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
       }
     } else {
       // Master mode: rank 0 owns the whole map.
-      auto at_master = comm.alltoallv_t(candidates);
+      auto at_master = shuffle(comm, candidates);
       std::vector<Tup3> master_changed;
       if (comm.rank() == 0) {
         for (const auto& buf : at_master) {
@@ -150,20 +182,10 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
         }
       }
       // Broadcast the changed rows; each rank adopts a slice as its delta.
-      vmpi::BufferWriter w;
-      for (const auto& t : master_changed) {
-        w.put(t.a);
-        w.put(t.b);
-        w.put(t.c);
-      }
-      const auto serialized = w.take();
-      auto bytes = comm.bcast(0, serialized);
-      vmpi::BufferReader r(bytes);
-      std::size_t idx = 0;
-      while (!r.done()) {
-        Tup3 t{r.get<value_t>(), r.get<value_t>(), r.get<value_t>()};
-        if (idx % static_cast<std::size_t>(n) == me) changed.push_back(t);
-        ++idx;
+      const auto all_changed = decode_tups(comm.bcast(0, encode_tups(master_changed)));
+      const auto stride = static_cast<std::size_t>(n);
+      for (std::size_t idx = me; idx < all_changed.size(); idx += stride) {
+        changed.push_back(all_changed[idx]);
       }
     }
 
@@ -172,7 +194,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     {
       std::vector<std::vector<Tup3>> to_store(static_cast<std::size_t>(n));
       for (const auto& t : changed) to_store[owner3(t.a, t.b, t.c, n)].push_back(t);
-      auto at_store = comm.alltoallv_t(to_store);
+      auto at_store = shuffle(comm, to_store);
       for (const auto& buf : at_store) {
         for (const auto& t : buf) {
           store.insert(mix64(mix64(mix64(t.a) ^ t.b) ^ t.c));

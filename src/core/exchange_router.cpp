@@ -1,17 +1,17 @@
 #include "core/exchange_router.hpp"
 
 #include <cassert>
-#include <unordered_map>
+#include <utility>
 
 #include "core/phase_scope.hpp"
-#include "vmpi/serialize.hpp"
+#include "vmpi/row_frame.hpp"
 
 namespace paralagg::core {
 
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo) {
   // kHierarchical degrades to the dense matrix here: the two-level path
-  // needs the router's combine context to be worth its extra hops, and the
+  // needs the router's bucket folds to be worth its extra hops, and the
   // intra-bucket shuffles this helper serves have none.
   return algo == ExchangeAlgorithm::kBruck ? comm.alltoallv_bruck(std::move(send))
                                            : comm.alltoallv(std::move(send));
@@ -26,8 +26,11 @@ std::uint32_t ExchangeRouter::add_target(Relation* rel) {
     if (targets_[i] == rel) return static_cast<std::uint32_t>(i);
   }
   targets_.push_back(rel);
-  for (auto& gen : outgoing_) {
-    gen.resize(targets_.size() * static_cast<std::size_t>(comm_->size()));
+  for (auto* runs : {&outgoing_[0], &outgoing_[1], &node_runs_}) {
+    for (int d = 0; d < comm_->size(); ++d) {
+      runs->emplace_back(rel->arity(), rel->indep_arity(), rel->config().aggregator.get(),
+                         preaggregate_);
+    }
   }
   return static_cast<std::uint32_t>(targets_.size() - 1);
 }
@@ -46,60 +49,17 @@ void ExchangeRouter::emit(std::uint32_t route_id, std::span<const value_t> row) 
     ++loopback_rows_;
     return;
   }
-  auto& rows = bucket(route_id, static_cast<std::size_t>(dst));
-  rows.insert(rows.end(), row.begin(), row.end());
-  ++pending_rows_;
+  const std::size_t folded = bucket(route_id, static_cast<std::size_t>(dst)).append(row);
+  pending_rows_ = pending_rows_ + 1 - folded;
+  combined_rows_ += folded;
 }
 
-void ExchangeRouter::combine(const Relation& rel, std::vector<value_t>& rows,
-                             RouterFlushStats& st) {
-  const std::size_t arity = rel.arity();
-  if (rows.size() <= arity) return;  // nothing to collapse
-
-  if (!rel.aggregated()) {
-    // Plain target: keep the first occurrence of each row.
-    std::unordered_map<Tuple, std::size_t, storage::TupleHash> seen;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < rows.size(); r += arity) {
-      const std::span<const value_t> row(rows.data() + r, arity);
-      auto [it, inserted] = seen.try_emplace(Tuple(row), w);
-      if (!inserted) {
-        ++st.rows_combined;
-        continue;
-      }
-      if (w != r) std::copy(row.begin(), row.end(), rows.begin() + static_cast<std::ptrdiff_t>(w));
-      w += arity;
-    }
-    rows.resize(w);
-    return;
-  }
-
-  // Aggregated target: fold rows agreeing on the independent columns
-  // through the lattice join before they hit the wire (partial partial
-  // aggregates).  The destination's staging pass stays correct either way;
-  // this only shrinks the exchange.
-  const std::size_t ia = rel.indep_arity();
-  const std::size_t dep = rel.dep_arity();
-  const auto& agg = *rel.config().aggregator;
-  std::unordered_map<Tuple, std::size_t, storage::TupleHash> first;  // key -> kept row offset
-  std::vector<value_t> scratch(dep);
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < rows.size(); r += arity) {
-    const std::span<const value_t> row(rows.data() + r, arity);
-    auto [it, inserted] = first.try_emplace(Tuple(row.first(ia)), w);
-    if (inserted) {
-      if (w != r) std::copy(row.begin(), row.end(), rows.begin() + static_cast<std::ptrdiff_t>(w));
-      w += arity;
-      continue;
-    }
-    // partial_agg's out may alias neither input: stage through scratch.
-    value_t* acc = rows.data() + it->second + ia;
-    agg.partial_agg(std::span<const value_t>(acc, dep), row.subspan(ia),
-                    std::span<value_t>(scratch));
-    std::copy(scratch.begin(), scratch.end(), acc);
-    ++st.rows_combined;
-  }
-  rows.resize(w);
+RouterFlushStats ExchangeRouter::take_emit_stats() {
+  RouterFlushStats st;
+  st.rows_loopback = std::exchange(loopback_rows_, 0);
+  st.rows_hot_routed = std::exchange(hot_routed_rows_, 0);
+  st.rows_combined = std::exchange(combined_rows_, 0);
+  return st;
 }
 
 std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
@@ -109,18 +69,14 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
 #endif
   std::vector<vmpi::Bytes> send(n);
   for (std::size_t d = 0; d < n; ++d) {
-    vmpi::TypedWriter<value_t> w;
+    vmpi::RowFrameWriter w;
     for (std::size_t id = 0; id < targets_.size(); ++id) {
-      auto& rows = bucket(id, d);
-      if (rows.empty()) continue;
+      auto& run = bucket(id, d);
+      if (run.empty()) continue;
       assert(d != me && "self-owned rows take the loopback path");
-      const Relation& rel = *targets_[id];
-      if (preaggregate_) combine(rel, rows, st);
-      const auto count = rows.size() / rel.arity();
-      w.put(static_cast<value_t>(id));
-      w.put(static_cast<value_t>(count));
-      w.put_span(std::span<const value_t>(rows));
-      st.rows_sent += count;
+      st.rows_combined += run.fold();
+      w.section(id, arity_of(id), run.values());
+      st.rows_sent += run.row_count();
     }
     send[d] = w.take();
   }
@@ -128,45 +84,35 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
   return send;
 }
 
-void ExchangeRouter::recycle(std::size_t gen) {
-  for (auto& rows : outgoing_[gen]) {
-    const std::size_t used = rows.size();
-    rows.clear();
-    // Capacity is retained across flushes: a per-flush shrink_to_fit forced
-    // a full reallocation cycle every iteration of every stratum.  Memory
+void ExchangeRouter::recycle(std::vector<FoldRun>& runs) {
+  for (auto& run : runs) {
+    // Capacity is retained across flushes: a per-flush shrink forced a
+    // full reallocation cycle every iteration of every stratum.  Memory
     // goes back only when the bucket is grossly over-provisioned for what
     // it just carried (e.g. the burst of a fixpoint's first iterations).
-    if (rows.capacity() > kShrinkFloorValues && used < rows.capacity() / 8) {
-      rows.shrink_to_fit();
+    if (run.capacity() > kShrinkFloorValues && run.values().size() < run.capacity() / 8) {
+      run.release();
+    } else {
+      run.clear();
     }
+  }
+}
+
+void ExchangeRouter::stage_frame(std::span<const std::byte> frame, RouterFlushStats& st) {
+  vmpi::RowFrameReader r(frame);
+  while (!r.done()) {
+    rows_scratch_.clear();
+    const auto s = r.section(
+        targets_.size(), [&](std::uint64_t id) { return arity_of(id); }, rows_scratch_);
+    targets_[s.route]->stage_rows(rows_scratch_);
+    st.rows_staged += s.count;
   }
 }
 
 void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
                             RankProfile& profile) {
   PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
-  for (const auto& buf : received) {
-    vmpi::TypedReader<value_t> r(buf);
-    while (!r.done()) {
-      const auto id = static_cast<std::size_t>(r.get());
-      if (id >= targets_.size()) {
-        throw vmpi::FrameDecodeError("router: frame names an unregistered route");
-      }
-      Relation& rel = *targets_[id];
-      if (r.remaining() < 1) {
-        throw vmpi::FrameDecodeError("router: frame truncated before row count");
-      }
-      const auto count = static_cast<std::size_t>(r.get());
-      // Division form: a corrupt count must not overflow the multiply.
-      if (count > r.remaining() / rel.arity()) {
-        throw vmpi::FrameDecodeError("router: frame row count overruns payload");
-      }
-      // Zero-copy decode: the frame body is staged straight from the
-      // receive buffer, no per-tuple materialization.
-      rel.stage_rows(r.take_span(count * rel.arity()));
-      st.rows_staged += count;
-    }
-  }
+  for (const auto& buf : received) stage_frame(buf, st);
   profile.add_work(Phase::kDedupAgg, st.rows_staged);
 }
 
@@ -178,12 +124,7 @@ RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm a
     post(profile, algo);
     return complete(profile);
   }
-  RouterFlushStats st;
-  st.rows_loopback = loopback_rows_;
-  loopback_rows_ = 0;
-  st.rows_hot_routed = hot_routed_rows_;
-  hot_routed_rows_ = 0;
-
+  RouterFlushStats st = take_emit_stats();
   std::vector<vmpi::Bytes> received;
   {
     PhaseScope scope(*comm_, profile, Phase::kAllToAll);
@@ -191,18 +132,14 @@ RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm a
     profile.add_work(Phase::kAllToAll, st.rows_sent);
     received = exchange_alltoallv(*comm_, std::move(send), algo);
   }
-  recycle(cur_gen_);  // the blocking exchange copied everything out already
+  recycle(outgoing_[cur_gen_]);  // the blocking exchange copied everything out already
   decode(received, st, profile);
   return st;
 }
 
 void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
   assert(!inflight_.active && "at most one exchange in flight per router");
-  inflight_.stats = RouterFlushStats{};
-  inflight_.stats.rows_loopback = loopback_rows_;
-  loopback_rows_ = 0;
-  inflight_.stats.rows_hot_routed = hot_routed_rows_;
-  hot_routed_rows_ = 0;
+  inflight_.stats = take_emit_stats();
   {
     PhaseScope scope(*comm_, profile, Phase::kAllToAll);
     if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
@@ -215,8 +152,8 @@ void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
         // allgather runs unaccounted (StatsPause) like the schedule
         // bookkeeping, keeping byte totals election-invariant.
         std::uint64_t my_load = 0;
-        for (const auto& rows : outgoing_[cur_gen_]) {
-          my_load += rows.size() * sizeof(value_t);
+        for (const auto& run : outgoing_[cur_gen_]) {
+          my_load += run.values().size() * sizeof(value_t);
         }
         vmpi::StatsPause pause(*comm_);
         const auto loads = comm_->allgather<std::uint64_t>(my_load);
@@ -264,7 +201,7 @@ RouterFlushStats ExchangeRouter::complete(RankProfile& profile) {
     PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
     received = comm_->wait(inflight_.ticket);
   }
-  recycle(inflight_.gen);
+  recycle(outgoing_[inflight_.gen]);
   inflight_.active = false;
   RouterFlushStats st = inflight_.stats;
   if (inflight_.hier) {
@@ -279,6 +216,7 @@ RouterFlushStats ExchangeRouter::complete(RankProfile& profile) {
 std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   const int n = comm_->size();
   const auto nsz = static_cast<std::size_t>(n);
+  const std::size_t nt = targets_.size();
   const int me = comm_->rank();
   const vmpi::Topology& topo = comm_->topology();
   const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
@@ -287,21 +225,17 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   std::vector<vmpi::Bytes> send(nsz);
 
   if (me != leader) {
-    // Member: ship every bucket to the node aggregator as one
-    // [dst | route | count | rows]* frame, then return the all-empty send
-    // vector — posting it keeps the leaders-only exchange collective.
-    vmpi::TypedWriter<value_t> w;
+    // Member: ship every bucket to the node aggregator as one frame whose
+    // routes name (final destination, target), then return the all-empty
+    // send vector — posting it keeps the leaders-only exchange collective.
+    vmpi::RowFrameWriter w;
     for (std::size_t d = 0; d < nsz; ++d) {
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        auto& rows = bucket(id, d);
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        if (preaggregate_) combine(rel, rows, st);
-        w.put(static_cast<value_t>(d));
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
-        st.rows_sent += rows.size() / rel.arity();
+      for (std::size_t id = 0; id < nt; ++id) {
+        auto& run = bucket(id, d);
+        if (run.empty()) continue;
+        st.rows_combined += run.fold();
+        w.section(d * nt + id, arity_of(id), run.values());
+        st.rows_sent += run.row_count();
       }
     }
     vmpi::Bytes frame = w.take();
@@ -317,82 +251,48 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
     return send;
   }
 
-  // Leader: merge own buckets with every member frame per (final dst,
-  // route).  Buckets stay frozen from the caller's perspective — the rows
-  // move into the merge scratch and recycle() still sees cleared buffers.
-  const std::vector<int> members = topo.node_members(me, n);
-  std::vector<std::vector<value_t>> merged(targets_.size() * nsz);
-  for (std::size_t id = 0; id < targets_.size(); ++id) {
-    for (std::size_t d = 0; d < nsz; ++d) {
-      auto& rows = bucket(id, d);
-      if (rows.empty()) continue;
-      merged[id * nsz + d] = std::move(rows);
-      rows.clear();
-    }
-  }
+  // Leader: fold own buckets and every member frame together per (target,
+  // final dst).  The buckets swap into the node runs, so recycle() still
+  // sees the frozen generation (now holding the node runs' empty buffers).
+  std::swap(node_runs_, outgoing_[cur_gen_]);
   {
     vmpi::StatsPause pause(*comm_);
-    for (std::size_t i = 1; i < members.size(); ++i) {
+    const auto arity_of_route = [&](std::uint64_t route) { return arity_of(route % nt); };
+    const std::size_t members = topo.node_members(me, n).size();
+    for (std::size_t i = 1; i < members; ++i) {
       const vmpi::Bytes buf = comm_->recv(vmpi::kAnySource, up_tag);
-      vmpi::TypedReader<value_t> r(buf);
+      vmpi::RowFrameReader r(buf);
       while (!r.done()) {
-        const auto d = static_cast<std::size_t>(r.get());
-        if (d >= nsz) {
-          throw vmpi::FrameDecodeError("router: gather frame names a bad destination");
-        }
-        if (r.remaining() < 2) {
-          throw vmpi::FrameDecodeError("router: gather frame truncated");
-        }
-        const auto id = static_cast<std::size_t>(r.get());
-        if (id >= targets_.size()) {
-          throw vmpi::FrameDecodeError("router: gather frame names an unregistered route");
-        }
-        const auto count = static_cast<std::size_t>(r.get());
-        const Relation& rel = *targets_[id];
-        if (count > r.remaining() / rel.arity()) {
-          throw vmpi::FrameDecodeError("router: gather frame row count overruns payload");
-        }
-        const auto rows = r.take_span(count * rel.arity());
-        auto& acc = merged[id * nsz + d];
-        acc.insert(acc.end(), rows.begin(), rows.end());
-      }
-    }
-  }
-
-  // Node-level pre-aggregation: one combine pass over each merged bucket
-  // collapses rows different members generated for the same key before
-  // they cross nodes — the volume reduction the two-level exchange buys.
-  if (preaggregate_) {
-    for (std::size_t id = 0; id < targets_.size(); ++id) {
-      const Relation& rel = *targets_[id];
-      for (std::size_t d = 0; d < nsz; ++d) {
-        auto& rows = merged[id * nsz + d];
-        if (rows.empty()) continue;
-        RouterFlushStats node_st;
-        combine(rel, rows, node_st);
-        st.rows_node_merged += node_st.rows_combined;
+        rows_scratch_.clear();
+        const auto s = r.section(nsz * nt, arity_of_route, rows_scratch_);
+        const std::size_t d = s.route / nt;
+        const std::size_t id = s.route % nt;
+        st.rows_node_merged += node_runs_[id * nsz + d].append(rows_scratch_);
       }
     }
   }
 
   // One frame per destination node, addressed to its elected leader; the
-  // final destination travels in-band so the peer leader can scatter.
+  // route carries the final destination's index within that node so the
+  // peer leader can scatter.  Folding each node run here collapses rows
+  // different members generated for the same key before they cross nodes
+  // — the volume reduction the two-level exchange buys.
   for (const int peer : inflight_.leaders) {
-    vmpi::TypedWriter<value_t> w;
+    vmpi::RowFrameWriter w;
+    const int peer_base = topo.node_base(peer);
     for (const int d : topo.node_members(peer, n)) {
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        const auto& rows = merged[id * nsz + static_cast<std::size_t>(d)];
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        w.put(static_cast<value_t>(d));
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
-        st.rows_sent += rows.size() / rel.arity();
+      for (std::size_t id = 0; id < nt; ++id) {
+        auto& run = node_runs_[id * nsz + static_cast<std::size_t>(d)];
+        if (run.empty()) continue;
+        st.rows_node_merged += run.fold();
+        w.section(static_cast<std::size_t>(d - peer_base) * nt + id, arity_of(id),
+                  run.values());
+        st.rows_sent += run.row_count();
       }
     }
     send[static_cast<std::size_t>(peer)] = w.take();
   }
+  recycle(node_runs_);
   pending_rows_ = 0;
   return send;
 }
@@ -401,13 +301,14 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
                                  RouterFlushStats& st, RankProfile& profile) {
   const int n = comm_->size();
   const int me = comm_->rank();
+  const std::size_t nt = targets_.size();
   const vmpi::Topology& topo = comm_->topology();
   const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
   const int down_tag = kHierDownTagBase + static_cast<int>(inflight_.hier_seq % kHierTagWindow);
 
   if (me != leader) {
     // Member: the leaders' exchange delivered only empties here; the node
-    // rows arrive as one [route | count | rows]* scatter frame.
+    // rows arrive as one scatter frame routed by target.
     vmpi::Bytes buf;
     {
       PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
@@ -415,23 +316,7 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
       buf = comm_->recv(leader, down_tag);
     }
     PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
-    vmpi::TypedReader<value_t> r(buf);
-    while (!r.done()) {
-      const auto id = static_cast<std::size_t>(r.get());
-      if (id >= targets_.size()) {
-        throw vmpi::FrameDecodeError("router: scatter frame names an unregistered route");
-      }
-      Relation& rel = *targets_[id];
-      if (r.remaining() < 1) {
-        throw vmpi::FrameDecodeError("router: scatter frame truncated before row count");
-      }
-      const auto count = static_cast<std::size_t>(r.get());
-      if (count > r.remaining() / rel.arity()) {
-        throw vmpi::FrameDecodeError("router: scatter frame row count overruns payload");
-      }
-      rel.stage_rows(r.take_span(count * rel.arity()));
-      st.rows_staged += count;
-    }
+    stage_frame(buf, st);
     profile.add_work(Phase::kDedupAgg, st.rows_staged);
     return;
   }
@@ -442,35 +327,23 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
   // elected leader may sit anywhere in the block, hence base, not me).
   const int base = topo.node_base(me);
   const std::vector<int> members = topo.node_members(me, n);
-  std::vector<std::vector<value_t>> fwd(members.size() * targets_.size());
+  std::vector<std::vector<value_t>> fwd(members.size() * nt);
   {
     PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
+    const auto arity_of_route = [&](std::uint64_t route) { return arity_of(route % nt); };
     for (const auto& buf : received) {
-      vmpi::TypedReader<value_t> r(buf);
+      vmpi::RowFrameReader r(buf);
       while (!r.done()) {
-        const auto d = static_cast<int>(r.get());
-        if (d < base || d >= base + static_cast<int>(members.size())) {
-          throw vmpi::FrameDecodeError("router: leaders frame names a rank outside this node");
-        }
-        if (r.remaining() < 2) {
-          throw vmpi::FrameDecodeError("router: leaders frame truncated");
-        }
-        const auto id = static_cast<std::size_t>(r.get());
-        if (id >= targets_.size()) {
-          throw vmpi::FrameDecodeError("router: leaders frame names an unregistered route");
-        }
-        const auto count = static_cast<std::size_t>(r.get());
-        Relation& rel = *targets_[id];
-        if (count > r.remaining() / rel.arity()) {
-          throw vmpi::FrameDecodeError("router: leaders frame row count overruns payload");
-        }
-        const auto rows = r.take_span(count * rel.arity());
+        rows_scratch_.clear();
+        const auto s = r.section(members.size() * nt, arity_of_route, rows_scratch_);
+        const int d = base + static_cast<int>(s.route / nt);
+        const std::size_t id = s.route % nt;
         if (d == me) {
-          rel.stage_rows(rows);
-          st.rows_staged += count;
+          targets_[id]->stage_rows(rows_scratch_);
+          st.rows_staged += s.count;
         } else {
-          auto& acc = fwd[static_cast<std::size_t>(d - base) * targets_.size() + id];
-          acc.insert(acc.end(), rows.begin(), rows.end());
+          auto& acc = fwd[s.route];
+          acc.insert(acc.end(), rows_scratch_.begin(), rows_scratch_.end());
         }
       }
     }
@@ -481,14 +354,10 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
     for (std::size_t i = 0; i < members.size(); ++i) {
       const int m = members[i];
       if (m == me) continue;  // own rows were staged above
-      vmpi::TypedWriter<value_t> w;
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        const auto& rows = fwd[i * targets_.size() + id];
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
+      vmpi::RowFrameWriter w;
+      for (std::size_t id = 0; id < nt; ++id) {
+        const auto& rows = fwd[i * nt + id];
+        if (!rows.empty()) w.section(id, arity_of(id), rows);
       }
       vmpi::Bytes frame = w.take();
       comm_->account_send(vmpi::Op::kAlltoallv, frame.size(), m);

@@ -7,7 +7,7 @@
 // with R loop rules issues ~2R collective exchanges per iteration, each
 // with its own latency floor.  The ExchangeRouter decouples *emitting* a
 // result tuple from *shipping* it: rules append rows into per-destination
-// flat value_t buffers owned by the router, and the engine flushes the
+// buckets owned by the router, and the engine flushes the
 // router once per iteration with a single tagged alltoallv — collapsing
 // ~2R exchanges to R+1 (the R intra-bucket exchanges remain per join).
 //
@@ -17,30 +17,28 @@
 //   * Self-loopback fast path: a row owned by the emitting rank bypasses
 //     serialization entirely and lands directly in the target's staging
 //     area.
-//   * Sender-side pre-aggregation (partial partial aggregates): rows bound
-//     for the same rank that agree on their independent columns collapse
-//     through the target's lattice join *before* they ever hit the wire —
-//     the paper's §IV-A fusion, extended across all rules feeding a target.
+//   * Sender-side pre-aggregation (partial partial aggregates): each
+//     (target, destination) bucket is a FoldRun, the same sort-fold
+//     Relation staging uses.  Rows that agree on their independent columns
+//     collapse through the target's aggregator (plain rows deduplicate) as
+//     the bucket fills and once more at flush, so every bucket reaches the
+//     wire as a key-sorted, key-unique run — the paper's §IV-A fusion,
+//     extended across all rules feeding a target.  With pre-aggregation
+//     off the buckets only append, so every emitted row is sent.
 //
-// Wire format of one flush, per destination rank (all units are value_t):
-//
-//   [ route_id | row_count | row_count * arity values ]*
-//
-// Frames carry tuples only: on a faultable world every frame that crosses
-// the mailbox path is CRC-checked and deduplicated by vmpi::ReliableChannel
-// before decode() sees it.  decode() still checks the route id and the row
-// count (division form) against the payload, so a malformed frame surfaces
-// as vmpi::FrameDecodeError, never undefined behaviour.  Empty buffers stay
-// zero bytes on the wire.
-//
-// Route ids are per-router registration indices; every rank must register
-// the same relations in the same order (SPMD, like everything else here).
+// Each destination's frame is one vmpi row frame (DESIGN.md §6.2) with a
+// [route | count | rows] section per non-empty bucket; the route is the
+// target's registration index, so every rank must register the same
+// relations in the same order (SPMD, like everything else here).  The
+// frame reader owns every decode check.  Empty buffers stay zero bytes on
+// the wire.
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/fold_run.hpp"
 #include "core/profile.hpp"
 #include "core/relation.hpp"
 #include "vmpi/comm.hpp"
@@ -55,12 +53,12 @@ enum class ExchangeAlgorithm : std::uint8_t {
   /// elected per flush by staged delta bytes (vmpi::Topology::
   /// elect_leaders; ties to the lowest rank) so the heaviest member merges
   /// in place — pre-merges the node's buffered deltas through the
-  /// sender-side combine, a leaders-only ialltoallv carries the merged
+  /// bucket fold, a leaders-only ialltoallv carries the merged
   /// frames across nodes, and each leader scatters the arrivals
   /// intra-node.  3 steps instead of 1, but the
   /// cross-node volume shrinks by whatever the node-level MIN/MAX merge
-  /// collapses.  Router flushes only; the raw exchange_alltoallv helper
-  /// (intra-bucket shuffles, no combine context) degrades it to kDense.
+  /// collapses.  Router flushes only; the plain exchange_alltoallv helper
+  /// (intra-bucket shuffles, no fold context) degrades it to kDense.
   /// Under a flat topology (node_size 1) it IS kDense.
   kHierarchical,
 };
@@ -73,7 +71,9 @@ struct RouterFlushStats {
   std::uint64_t rows_sent = 0;       // rows serialized toward remote ranks
   std::uint64_t rows_staged = 0;     // rows decoded and staged from the exchange
   std::uint64_t rows_loopback = 0;   // self-owned rows staged without serialization
-  std::uint64_t rows_combined = 0;   // rows collapsed by sender-side pre-aggregation
+  /// Rows collapsed by sender-side pre-aggregation: at flush, and by the
+  /// bucket folds of the emits since the previous flush.
+  std::uint64_t rows_combined = 0;
   /// Rows whose join key was hot at emit time: routed to the H2 spread
   /// rank instead of the owner (skew-optimal layout, DESIGN.md §13).
   std::uint64_t rows_hot_routed = 0;
@@ -90,7 +90,8 @@ struct RouterFlushStats {
 
 class ExchangeRouter {
  public:
-  /// `preaggregate` enables the sender-side combine pass at flush time.
+  /// `preaggregate` makes the buckets fold (sender-side pre-aggregation);
+  /// without it they only append.
   explicit ExchangeRouter(vmpi::Comm& comm, bool preaggregate = true);
 
   ExchangeRouter(const ExchangeRouter&) = delete;
@@ -107,10 +108,11 @@ class ExchangeRouter {
 
   /// Route a generated row toward its owner: self-owned rows stage
   /// immediately (loopback fast path), remote rows are buffered until the
-  /// next flush.  `row` must be in the target's stored order.
+  /// next flush, folding into their bucket's run at the fold point.
+  /// `row` must be in the target's stored order.
   void emit(std::uint32_t route_id, std::span<const value_t> row);
 
-  /// Rows currently buffered for remote ranks on this rank.
+  /// Rows currently buffered for remote ranks on this rank, after folds.
   [[nodiscard]] std::uint64_t pending_rows() const { return pending_rows_; }
 
   /// One collective exchange carrying every buffered row, decoded straight
@@ -148,6 +150,9 @@ class ExchangeRouter {
   /// recycle() returns a bucket's memory only above this capacity (in
   /// value_t) — smaller buffers are cheap to keep warm across flushes.
   static constexpr std::size_t kShrinkFloorValues = std::size_t{1} << 15;
+  /// Clear runs, retaining capacity across flushes; release only a run
+  /// whose capacity dwarfs what it just carried.
+  static void recycle(std::vector<FoldRun>& runs);
 
   // Tag spaces of the hierarchical exchange's intra-node legs (member ->
   // leader gather, leader -> member scatter).  Disjoint from every vmpi
@@ -157,34 +162,34 @@ class ExchangeRouter {
   static constexpr int kHierDownTagBase = 0x48A20000;
   static constexpr std::uint64_t kHierTagWindow = 4096;
 
-  [[nodiscard]] std::vector<value_t>& bucket(std::size_t route_id, std::size_t dest) {
+  [[nodiscard]] FoldRun& bucket(std::size_t route_id, std::size_t dest) {
     return outgoing_[cur_gen_][route_id * static_cast<std::size_t>(comm_->size()) + dest];
   }
-  /// In-place sender-side combine of one (relation, destination) buffer:
-  /// plain targets deduplicate whole rows, aggregated targets fold rows
-  /// with equal independent columns through the lattice join.
-  void combine(const Relation& rel, std::vector<value_t>& rows, RouterFlushStats& st);
-  /// Serialize the current generation into per-destination send buffers
-  /// (combining when enabled).  Buckets are left intact — frozen — for the
-  /// caller to recycle() once the exchange no longer needs them.
+  [[nodiscard]] std::size_t arity_of(std::uint64_t route_id) const {
+    return targets_[route_id]->arity();
+  }
+  /// Start a flush's stats from the emit-side counters, resetting them.
+  RouterFlushStats take_emit_stats();
+  /// Fold and encode the current generation into per-destination frames.
+  /// Buckets are left intact — frozen — for the caller to recycle() once
+  /// the exchange no longer needs them.
   std::vector<vmpi::Bytes> pack(RouterFlushStats& st);
-  /// Clear one generation's buckets, retaining capacity across flushes;
-  /// shrink only a bucket whose capacity dwarfs what it just carried.
-  void recycle(std::size_t gen);
+  /// Stage every section of one [route | count | rows] frame.
+  void stage_frame(std::span<const std::byte> frame, RouterFlushStats& st);
   /// Stage every frame of a finished exchange (Phase::kDedupAgg).
   void decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
               RankProfile& profile);
 
   // -- hierarchical (two-level) exchange --------------------------------------
   //
-  // post side: members serialize their buckets as [dst|route|count|rows]*
-  // frames (faultable isend) toward their node leader; the
-  // leader merges its own buckets with the arrivals per (dst, route),
-  // runs the combine pass once per merged bucket (the node-level
-  // pre-aggregation), packs one frame per destination *node*, and every
-  // rank posts the leaders-only ialltoallv (non-leaders all-empty, which
-  // keeps the call collective and the split-phase overlap intact).
-  // complete side: leaders unpack per final destination, stage their own
+  // post side: members fold their buckets and send them as one row frame
+  // (faultable isend) to their node leader, with route dst * targets +
+  // target; the leader folds its own buckets and the arrivals together per
+  // (dst, target) — the node-level pre-aggregation — encodes one frame per
+  // destination *node* (route = member index * targets + target), and
+  // every rank posts the leaders-only ialltoallv (non-leaders all-empty,
+  // which keeps the call collective and the split-phase overlap intact).
+  // complete side: leaders decode per final destination, stage their own
   // rows, and scatter one frame per member; members recv + stage.
   // Leg bytes are attributed to Op::kAlltoallv with intra-node locality;
   // the leaders' exchange records its own cross-node bytes.
@@ -217,15 +222,19 @@ class ExchangeRouter {
   vmpi::Comm* comm_;
   bool preaggregate_;
   std::vector<Relation*> targets_;
-  // Flat row buffers, target-major: outgoing_[gen][route_id * nranks + dest].
+  // Row buckets, target-major: outgoing_[gen][route_id * nranks + dest].
   // Two generations: emits fill cur_gen_ while the other may be frozen
   // under an in-flight exchange.
-  std::array<std::vector<std::vector<value_t>>, 2> outgoing_;
+  std::array<std::vector<FoldRun>, 2> outgoing_;
+  // The hierarchical leader's per-(target, dest) node merge, same layout.
+  std::vector<FoldRun> node_runs_;
   std::size_t cur_gen_ = 0;
   InFlight inflight_;
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;
+  std::uint64_t combined_rows_ = 0;  // collapsed by bucket folds since the last flush
+  std::vector<value_t> rows_scratch_;  // decoded section rows
   std::uint64_t hier_seq_ = 0;   // hierarchical flush sequence (tag rotation)
 };
 

@@ -6,19 +6,20 @@
 #include <stdexcept>
 
 #include "core/phase_scope.hpp"
-#include "vmpi/serialize.hpp"
+#include "vmpi/row_frame.hpp"
 
 namespace paralagg::core {
 
 namespace {
 
-/// Append every tuple of `tree` to the per-destination buffers, replicating
-/// each tuple to all ranks that hold a sub-bucket of its bucket in the
-/// *inner* relation.  This is the outer-relation serialization feeding the
-/// intra-bucket exchange.
+/// Append every tuple of `tree` to the per-destination row buffers,
+/// replicating each tuple to all ranks that hold a sub-bucket of its bucket
+/// in the *inner* relation.  This is the outer-relation serialization
+/// feeding the intra-bucket exchange; each buffer is a key-sorted
+/// subsequence of the tree scan.
 std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& outer,
                               const Relation& inner,
-                              std::vector<vmpi::TypedWriter<value_t>>& outgoing,
+                              std::vector<std::vector<value_t>>& outgoing,
                               std::uint64_t* hot_broadcast) {
   std::uint64_t shipped = 0;
   const bool inner_has_hot = !inner.hot_keys().empty();
@@ -31,7 +32,7 @@ std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& o
       // Each inner row still lives on exactly one rank, so every joined
       // pair is found exactly once (DESIGN.md §13).
       for (std::size_t d = 0; d < nranks; ++d) {
-        outgoing[d].put_span(t);
+        outgoing[d].insert(outgoing[d].end(), t.begin(), t.end());
         ++shipped;
       }
       if (hot_broadcast != nullptr) *hot_broadcast += nranks;
@@ -40,18 +41,22 @@ std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& o
     const auto bucket = outer.bucket_of(t);
     inner.ranks_of_bucket(bucket, dests);
     for (int d : dests) {
-      outgoing[static_cast<std::size_t>(d)].put_span(t);
+      auto& rows = outgoing[static_cast<std::size_t>(d)];
+      rows.insert(rows.end(), t.begin(), t.end());
       ++shipped;
     }
   });
   return shipped;
 }
 
-/// Hand over every destination buffer: the probe batch is raw tuple words
+/// Encode every destination buffer as a single-relation row frame
 /// (integrity on a faultable world is vmpi::ReliableChannel's job).
-std::vector<vmpi::Bytes> take_all(std::vector<vmpi::TypedWriter<value_t>>& outgoing) {
+std::vector<vmpi::Bytes> encode_all(const std::vector<std::vector<value_t>>& outgoing,
+                                    std::size_t arity) {
   std::vector<vmpi::Bytes> send(outgoing.size());
-  for (std::size_t d = 0; d < outgoing.size(); ++d) send[d] = outgoing[d].take();
+  for (std::size_t d = 0; d < outgoing.size(); ++d) {
+    send[d] = vmpi::encode_rows(arity, outgoing[d]);
+  }
   return send;
 }
 
@@ -66,19 +71,11 @@ void emit_output(const OutputSpec& out, std::span<const value_t> a,
   router.emit(route, scratch.view());
 }
 
-/// Decode the received outer buffers into one flat row-major batch.  The
-/// wire format is already flat value_t rows, so this is a single typed
-/// copy per buffer, no per-tuple materialization.
-std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received) {
-  std::size_t total = 0;
-  for (const auto& buf : received) total += buf.size() / sizeof(value_t);
+/// Decode the received outer frames into one flat row-major batch.
+std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received,
+                                        std::size_t arity) {
   std::vector<value_t> batch;
-  batch.reserve(total);
-  for (const auto& buf : received) {
-    vmpi::TypedReader<value_t> r(buf);
-    const auto vals = r.take_span(r.remaining());
-    batch.insert(batch.end(), vals.begin(), vals.end());
-  }
+  for (const auto& buf : received) vmpi::decode_rows(buf, arity, batch);
   return batch;
 }
 
@@ -120,11 +117,12 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
   std::vector<vmpi::Bytes> received_outer;
   {
     PhaseScope scope(comm, profile, Phase::kIntraBucket);
-    std::vector<vmpi::TypedWriter<value_t>> outgoing(static_cast<std::size_t>(comm.size()));
+    std::vector<std::vector<value_t>> outgoing(static_cast<std::size_t>(comm.size()));
     stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner,
                                                  outgoing, &stats.hot_broadcast_rows);
     profile.add_work(Phase::kIntraBucket, stats.outer_tuples_shipped);
-    received_outer = exchange_alltoallv(comm, take_all(outgoing), exchange_algo);
+    received_outer =
+        exchange_alltoallv(comm, encode_all(outgoing, outer.arity()), exchange_algo);
   }
 
   // ---- Phase: local join (outputs emitted into the router) ------------------
@@ -135,7 +133,7 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
     Tuple scratch;
     static const Tuple kNoMatch;
 
-    const std::vector<value_t> batch = decode_probe_batch(received_outer);
+    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer_arity);
     assert(outer_arity > 0 && batch.size() % outer_arity == 0);
     const std::size_t nrows = batch.size() / outer_arity;
     const auto row_of = [&](std::size_t i) {

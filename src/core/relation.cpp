@@ -16,7 +16,8 @@ Relation::Relation(vmpi::Comm& comm, RelationConfig cfg)
       num_buckets_(static_cast<std::uint32_t>(comm.size())),
       sub_buckets_(cfg_.sub_buckets),
       full_(cfg_.arity, cfg_.arity - cfg_.dep_arity),
-      delta_(cfg_.arity, cfg_.arity - cfg_.dep_arity) {
+      delta_(cfg_.arity, cfg_.arity - cfg_.dep_arity),
+      staging_(cfg_.arity, cfg_.arity - cfg_.dep_arity, cfg_.aggregator.get()) {
   validate_config();
   // A relation with no non-join independent columns has nothing for H2 to
   // hash; sub-bucketing cannot apply (all tuples of a bucket would land in
@@ -162,71 +163,20 @@ void Relation::stage_rows(std::span<const value_t> rows) {
     // Count the derivation event before any same-iteration collapse.
     if (support_counts_) ++support_[Tuple(t.first(indep_arity()))];
   }
-  while (!rows.empty()) {
-    const std::size_t take = std::min(rows.size(), fold_at_ * ar - staged_.size());
-    staged_.insert(staged_.end(), rows.begin(),
-                   rows.begin() + static_cast<std::ptrdiff_t>(take));
-    rows = rows.subspan(take);
-    if (staged_.size() == fold_at_ * ar) fold_staged();
-  }
-}
-
-void Relation::fold_staged() {
-  const std::size_t ar = cfg_.arity;
-  const std::size_t ka = indep_arity();
-  // staged_ is [run | tail]: the previous fold's run, then the rows staged
-  // since.  Only the tail needs sorting; one merge pass folds both.
-  const auto run_end = staged_.begin() + static_cast<std::ptrdiff_t>(run_rows_ * ar);
-  std::vector<value_t> tail(run_end, staged_.end());
-  storage::sort_rows(tail, ar, ka);
-  std::vector<value_t> out;
-  out.reserve(staged_.size());
-  std::vector<value_t> merged(cfg_.dep_arity);
-  // Append `row`, or fold it into the last row when the keys are equal.
-  const auto push = [&](std::span<const value_t> row) {
-    if (!out.empty()) {
-      const std::span<value_t> last(out.data() + out.size() - ar, ar);
-      if (storage::compare_prefix(last, row, ka) == 0) {
-        if (aggregated()) {
-          const auto acc = last.subspan(ka);
-          std::copy(acc.begin(), acc.end(), merged.begin());
-          cfg_.aggregator->partial_agg(acc, row.subspan(ka), merged);
-          std::copy(merged.begin(), merged.end(), acc.begin());
-        }
-        return;  // folded, or a plain relation's duplicate tuple
-      }
-    }
-    out.insert(out.end(), row.begin(), row.end());
-  };
-  const std::span<const value_t> run(staged_.data(), run_rows_ * ar);
-  const std::span<const value_t> fresh(tail);
-  std::size_t i = 0, j = 0;
-  while (i < run.size() && j < fresh.size()) {
-    if (storage::compare_prefix(run.subspan(i, ar), fresh.subspan(j, ar), ka) <= 0) {
-      push(run.subspan(i, ar));
-      i += ar;
-    } else {
-      push(fresh.subspan(j, ar));
-      j += ar;
-    }
-  }
-  for (; i < run.size(); i += ar) push(run.subspan(i, ar));
-  for (; j < fresh.size(); j += ar) push(fresh.subspan(j, ar));
-  staged_ = std::move(out);
-  run_rows_ = staged_.size() / ar;
-  fold_at_ = std::max(kFoldFloor, 2 * run_rows_);
+  staging_.append(rows);
 }
 
 MaterializeResult Relation::materialize() {
-  fold_staged();
+  staging_.fold();
+  const std::span<const value_t> run = staging_.values();
   const std::size_t ar = cfg_.arity;
   const std::size_t ka = indep_arity();
   MaterializeResult res;
-  res.staged = staged_.size() / ar;
+  res.staged = staging_.row_count();
 
   if (aggregated() && cfg_.agg_mode == AggMode::kRefresh) {
     // Jacobi-style replacement: the run *is* the next state.
-    full_.assign_sorted(staged_);
+    full_.assign_sorted(run);
     delta_.clear();
     res.inserted = res.staged;
   } else {
@@ -252,8 +202,8 @@ MaterializeResult Relation::materialize() {
     };
     if (res.staged * kPerKeyRatio < full_.size()) {
       // A run small against the tree: one descent per key beats a rebuild.
-      for (std::size_t off = 0; off < staged_.size(); off += ar) {
-        const std::span<const value_t> in(staged_.data() + off, ar);
+      for (std::size_t off = 0; off < run.size(); off += ar) {
+        const std::span<const value_t> in = run.subspan(off, ar);
         const std::span<value_t> cur =
             aggregated() ? full_.find_key(in.first(ka)) : std::span<value_t>{};
         if (cur.empty()) {
@@ -263,28 +213,28 @@ MaterializeResult Relation::materialize() {
         }
       }
     } else {
-      full_.merge_sorted(staged_, fresh, fold);
+      full_.merge_sorted(run, fresh, fold);
     }
     delta_.assign_sorted(fresh);
     res.delta_size = delta_.size();
     res.inserted = res.delta_size - res.updated;
     res.rejected = res.staged - res.delta_size;
   }
-  clear_staging();
+  staging_.clear();
   return res;
 }
 
 void Relation::reset() {
   full_.clear();
   delta_.clear();
-  clear_staging();
+  staging_.clear();
   support_.clear();
   hot_keys_.clear();
   hot_set_.clear();
 }
 
 Relation::LocalSnapshot Relation::snapshot() const {
-  assert(staged_.empty() && "snapshot is only legal between iterations");
+  assert(staging_.empty() && "snapshot is only legal between iterations");
   LocalSnapshot s;
   s.full.reserve(full_.size() * cfg_.arity);
   full_.for_each([&](std::span<const value_t> row) {
@@ -301,7 +251,7 @@ Relation::LocalSnapshot Relation::snapshot() const {
 void Relation::restore(const LocalSnapshot& snap) {
   full_.assign_sorted(snap.full);  // snapshot rows are in key order
   delta_.assign_sorted(snap.delta);
-  clear_staging();
+  staging_.clear();
   support_.clear();
   support_.reserve(snap.support.size());
   for (const auto& [key, count] : snap.support) support_.emplace(key, count);

@@ -21,7 +21,7 @@
 // Each rank holds its partition in two B-trees (full and delta, keyed on
 // the independent columns) plus a staging area where tuples arriving from
 // the all-to-all exchange are *pre-aggregated* before materialization:
-// staging appends flat rows, and a sort-fold turns them into a *run* —
+// staging is a FoldRun, which sort-folds appended rows into a *run* —
 // key-sorted, key-unique rows — that materialize() places into full.
 
 #include <string>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/aggregator.hpp"
+#include "core/fold_run.hpp"
 #include "core/types.hpp"
 #include "storage/btree.hpp"
 #include "vmpi/comm.hpp"
@@ -148,7 +149,7 @@ class Relation {
   /// rows left by the previous fold) rows, so it never holds much more
   /// than twice the distinct keys staged (plus kFoldFloor).  The floor
   /// keeps small iterations from sorting more than once.
-  static constexpr std::size_t kFoldFloor = 4096;
+  static constexpr std::size_t kFoldFloor = FoldRun::kFoldFloor;
 
   /// materialize() places a run of k keys into a full tree of n rows by
   /// per-key descents when k × kPerKeyRatio < n, and by one merge pass
@@ -214,7 +215,7 @@ class Relation {
   Tuple retract_key(std::span<const value_t> key);
 
   /// Rows currently staged (folded in place at most down to one per key).
-  [[nodiscard]] std::size_t staged_count() const { return staged_.size() / cfg_.arity; }
+  [[nodiscard]] std::size_t staged_count() const { return staging_.row_count(); }
 
   // -- batch rollback (serving graceful degradation) ---------------------------
 
@@ -280,15 +281,6 @@ class Relation {
   [[nodiscard]] std::size_t effective_sub_cols() const {
     return indep_arity() - cfg_.jcc;  // columns feeding H2
   }
-  /// Sort staged_ by key and collapse equal keys (partial_agg for
-  /// aggregated relations, dropping duplicates for plain ones), leaving a
-  /// run.  Sets the next fold point.
-  void fold_staged();
-  void clear_staging() {
-    staged_.clear();
-    run_rows_ = 0;
-    fold_at_ = kFoldFloor;
-  }
 
   vmpi::Comm* comm_;
   RelationConfig cfg_;
@@ -298,12 +290,9 @@ class Relation {
   storage::TupleBTree full_;
   storage::TupleBTree delta_;
 
-  // Staging: flat stored-order rows.  The first run_rows_ rows are the run
-  // left by the last fold; rows appended since follow it.  fold_staged()
-  // runs when staging reaches fold_at_ rows.
-  std::vector<value_t> staged_;
-  std::size_t run_rows_ = 0;
-  std::size_t fold_at_ = kFoldFloor;
+  // Staging: stored-order rows, folded into a run at the fold point and
+  // by materialize().
+  FoldRun staging_;
 
   // Derivation-event counts per key (serving mode only; empty otherwise).
   bool support_counts_ = false;

@@ -55,9 +55,9 @@ std::vector<Tuple> detect_hot_keys(vmpi::Comm& comm, const Relation& rel,
 
   // 3. One allgatherv of (count, key-columns) records.  vmpi returns the
   // buffers rank-ordered and byte-identical on every rank.
-  vmpi::TypedWriter<value_t> w;
+  vmpi::BufferWriter w;
   for (const auto& [key, count] : mine) {
-    w.put(count);
+    w.put<value_t>(count);
     w.put_span(key.view());
   }
   const auto gathered = comm.allgatherv(w.take());

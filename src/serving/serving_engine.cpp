@@ -1,7 +1,6 @@
 #include "serving/serving_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <unordered_set>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "core/expr.hpp"
 #include "core/ra_op.hpp"
 #include "vmpi/fault.hpp"
+#include "vmpi/row_frame.hpp"
 #include "vmpi/serialize.hpp"
 
 namespace paralagg::serving {
@@ -185,29 +185,17 @@ void ServingEngine::classify_and_validate() {
   }
 }
 
-std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send) {
+std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send,
+                                                  std::size_t arity) {
   // Owner-routed mutation rows ride the faultable split-phase exchange
   // (the dense alltoallv would bypass fault injection and the reliable
   // transport entirely), so the reliable channel checks and deduplicates
   // every frame before the decode.
-  const auto n = send.size();
-  std::vector<vmpi::Bytes> raw(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    vmpi::TypedWriter<value_t> w(send[d].size());
-    w.put_span(std::span<const value_t>(send[d]));
-    raw[d] = w.take();
-  }
-  auto ticket = comm_->ialltoallv(std::move(raw));
-  const auto got = comm_->wait(ticket);
-  std::size_t total = 0;
-  for (const auto& b : got) total += b.size() / sizeof(value_t);
+  std::vector<vmpi::Bytes> frames(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) frames[d] = vmpi::encode_rows(arity, send[d]);
+  auto ticket = comm_->ialltoallv(std::move(frames));
   std::vector<value_t> flat;
-  flat.reserve(total);
-  for (const auto& b : got) {
-    const std::size_t old = flat.size();
-    flat.resize(old + b.size() / sizeof(value_t));
-    if (!b.empty()) std::memcpy(flat.data() + old, b.data(), b.size());
-  }
+  for (const auto& b : comm_->wait(ticket)) vmpi::decode_rows(b, arity, flat);
   return flat;
 }
 
@@ -282,7 +270,7 @@ void ServingEngine::build_reverse_indexes() {
           std::copy(row.begin(), row.end(), rrow.begin() + 1);
           append_row(send[static_cast<std::size_t>(rs.rev->owner_rank(rrow))], rrow);
         });
-    auto flat = exchange_flat(std::move(send));
+    auto flat = exchange_flat(std::move(send), rs.rev->arity());
     // Base rows are distinct, so their reverse rows are too.
     storage::sort_rows(flat, rs.rev->arity(), rs.rev->indep_arity());
     rs.rev->tree(core::Version::kFull).assign_sorted(flat);
@@ -333,7 +321,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
       }
     }
     const std::size_t ar = b->arity();
-    auto dflat = exchange_flat(std::move(del));
+    auto dflat = exchange_flat(std::move(del), ar);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       const std::span<const value_t> row{dflat.data() + off, ar};
       if (b->tree(core::Version::kFull).erase_key(row)) {
@@ -343,7 +331,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
         ++res.missing_deletes;
       }
     }
-    auto iflat = exchange_flat(std::move(ins));
+    auto iflat = exchange_flat(std::move(ins), ar);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       const std::span<const value_t> row{iflat.data() + off, ar};
       if (b->tree(core::Version::kFull).insert(row)) {
@@ -368,12 +356,12 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     pack(rows_of(deleted, rs.base), del);
     pack(rows_of(inserted, rs.base), ins);
     const std::size_t ar = rs.rev->arity();
-    auto dflat = exchange_flat(std::move(del));
+    auto dflat = exchange_flat(std::move(del), ar);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       rs.rev->tree(core::Version::kFull)
           .erase_key(std::span<const value_t>{dflat.data() + off, ar});
     }
-    auto iflat = exchange_flat(std::move(ins));
+    auto iflat = exchange_flat(std::move(ins), ar);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       rs.rev->tree(core::Version::kFull)
           .insert(std::span<const value_t>{iflat.data() + off, ar});
@@ -397,11 +385,11 @@ void ServingEngine::emit_candidates(
     partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
     for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
   }
-  auto flat = exchange_flat(std::move(send));
+  const std::size_t par = probe_rel->arity();
+  auto flat = exchange_flat(std::move(send), par);
 
   Relation* t = jr.out.target;
   auto& out = cand[t];
-  const std::size_t par = probe_rel->arity();
   const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
   std::vector<value_t> row;
   for (std::size_t off = 0; off < flat.size(); off += par) {
@@ -451,8 +439,8 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
     RowsBy next;
     std::uint64_t round_retracted = 0;
     for (Relation* t : rec_targets_) {
-      auto flat = exchange_flat(std::move(cand[t]));
       const std::size_t ar = t->arity(), indep = t->indep_arity();
+      auto flat = exchange_flat(std::move(cand[t]), ar);
       for (std::size_t off = 0; off < flat.size(); off += ar) {
         const std::span<const value_t> row{flat.data() + off, ar};
         const auto key = row.first(indep);
@@ -517,7 +505,7 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
       scan_rel->ranks_of_bucket(scan_rel->bucket_of(one), dests);
       for (const int d : dests) ksend[static_cast<std::size_t>(d)].push_back(k0);
     }
-    auto kflat = exchange_flat(std::move(ksend));
+    auto kflat = exchange_flat(std::move(ksend), 1);
     // Dedupe arrivals too: distinct owners may request the same column value.
     const std::unordered_set<value_t> kset(kflat.begin(), kflat.end());
 
@@ -549,8 +537,8 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
       });
     }
     if (j != nullptr) {
-      auto pflat = exchange_flat(std::move(psend));
       const std::size_t par = premise->arity();
+      auto pflat = exchange_flat(std::move(psend), par);
       const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
       for (std::size_t off = 0; off < pflat.size(); off += par) {
         const std::span<const value_t> prow{pflat.data() + off, par};
@@ -568,8 +556,8 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
     // Final hop: candidates to the target owner, staged ONLY for keys this
     // batch retracted — survivors keep their state, and the insert-seeding
     // pass (which skips retracted keys) covers everything else.
-    auto cflat = exchange_flat(std::move(out));
     const std::size_t tar = target->arity(), indep = target->indep_arity();
+    auto cflat = exchange_flat(std::move(out), tar);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};
@@ -598,8 +586,8 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
         partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
         for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
       }
-      auto flat = exchange_flat(std::move(send));
       const std::size_t par = bside->arity();
+      auto flat = exchange_flat(std::move(send), par);
       const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
       for (std::size_t off = 0; off < flat.size(); off += par) {
         const std::span<const value_t> prow{flat.data() + off, par};
@@ -621,8 +609,8 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
         append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
       }
     }
-    auto cflat = exchange_flat(std::move(out));
     const std::size_t tar = target->arity(), indep = target->indep_arity();
+    auto cflat = exchange_flat(std::move(out), tar);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};

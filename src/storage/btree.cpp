@@ -10,34 +10,42 @@
 
 namespace paralagg::storage {
 
-void sort_rows(std::vector<value_t>& rows, std::size_t arity, std::size_t key_arity) {
+void sort_rows(std::span<value_t> rows, std::size_t arity, std::size_t key_arity,
+               std::vector<value_t>& scratch) {
   assert(rows.size() % arity == 0 && key_arity <= arity);
-  const std::size_t n = rows.size() / arity;
-  if (n < 2) return;
+  if (rows.size() < 2 * arity) return;
   // LSD radix sort, one byte per pass from the last key column's low byte
   // up to the first column's high byte.  Bytes equal in every row are
-  // skipped, so node-id keys take a pass or two per column.
+  // skipped, so node-id keys take a pass or two per column.  Passes
+  // ping-pong between `rows` and `scratch`.
   std::vector<value_t> varying(key_arity, 0);
   for (std::size_t off = arity; off < rows.size(); off += arity) {
     for (std::size_t c = 0; c < key_arity; ++c) varying[c] |= rows[off + c] ^ rows[c];
   }
-  std::vector<value_t> tmp(rows.size());
+  scratch.resize(rows.size());
+  value_t* src = rows.data();
+  value_t* dst = scratch.data();
   std::array<std::size_t, 256> pos{};
   for (std::size_t c = key_arity; c-- > 0;) {
     for (unsigned shift = 0; shift < 64; shift += 8) {
       if (((varying[c] >> shift) & 0xff) == 0) continue;
-      const auto digit = [&](std::size_t off) { return (rows[off + c] >> shift) & 0xff; };
+      const auto digit = [&](std::size_t off) { return (src[off + c] >> shift) & 0xff; };
       pos.fill(0);
       for (std::size_t off = 0; off < rows.size(); off += arity) ++pos[digit(off)];
       std::size_t sum = 0;
       for (auto& p : pos) sum += std::exchange(p, sum);
       for (std::size_t off = 0; off < rows.size(); off += arity) {
-        std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(off), arity,
-                    tmp.begin() + static_cast<std::ptrdiff_t>(pos[digit(off)]++ * arity));
+        std::copy_n(src + off, arity, dst + pos[digit(off)]++ * arity);
       }
-      rows.swap(tmp);
+      std::swap(src, dst);
     }
   }
+  if (src != rows.data()) std::copy_n(src, rows.size(), rows.data());
+}
+
+void sort_rows(std::vector<value_t>& rows, std::size_t arity, std::size_t key_arity) {
+  std::vector<value_t> scratch;
+  sort_rows(std::span<value_t>(rows), arity, key_arity, scratch);
 }
 
 TupleBTree::TupleBTree(std::size_t arity, std::size_t key_arity)

@@ -50,6 +50,10 @@ namespace paralagg::storage {
 /// `key_arity` columns.  Rows with equal keys end up adjacent, in no
 /// particular order among themselves.
 void sort_rows(std::vector<value_t>& rows, std::size_t arity, std::size_t key_arity);
+/// The same, in place, with caller-owned scratch (resized to rows.size())
+/// so a caller that sorts repeatedly keeps one buffer warm.
+void sort_rows(std::span<value_t> rows, std::size_t arity, std::size_t key_arity,
+               std::vector<value_t>& scratch);
 
 class TupleBTree {
  public:

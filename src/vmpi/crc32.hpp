@@ -3,7 +3,7 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected).  Wire frames and checkpoint
 // files carry a checksum so a corrupted or truncated buffer is detected
 // and surfaces as a typed error instead of feeding garbage into the
-// zero-copy decode paths.
+// decode paths.
 
 #include <array>
 #include <cstddef>

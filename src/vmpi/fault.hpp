@@ -72,9 +72,9 @@ struct FaultInjectedDeath : FaultError {
   std::uint64_t epoch;
 };
 
-/// A received frame failed a decoder's structural check (route or rule
-/// id, row count, relay rank or length): raised instead of feeding a
-/// malformed buffer into the zero-copy readers.  Derives from FaultError
+/// A received frame failed a decoder's structural check (a row frame's
+/// route, row count or varint; a relay rank or length; a token field):
+/// raised instead of decoding a malformed buffer.  Derives from FaultError
 /// so one catch site in the engines covers every injected-failure surface.
 struct FrameDecodeError : FaultError {
   using FaultError::FaultError;

@@ -4,9 +4,10 @@
 //
 // MPI moves contiguous 1-D buffers, so anything stored in a nested
 // structure (the engine's B-trees) must be flattened before transmission
-// (paper §IV-D).  These helpers are the only sanctioned way to build and
-// parse such buffers; keeping them trivial makes the byte accounting in
-// CommStats exact.
+// (paper §IV-D).  These helpers, and the row frame (row_frame.hpp) that
+// every per-iteration row batch uses, are the only sanctioned way to build
+// and parse such buffers; keeping them trivial makes the byte accounting
+// in CommStats exact.
 
 #include <cassert>
 #include <cstddef>
@@ -84,48 +85,13 @@ class BufferReader {
   std::size_t pos_ = 0;
 };
 
-/// Append-only writer of a homogeneous element stream, backed by the same
-/// byte vector the exchange primitives move.  The element-typed cousin of
-/// BufferWriter: the ExchangeRouter frames its tuple traffic through this
-/// so take() hands the buffer to alltoallv with no repacking.
-template <typename T>
-  requires std::is_trivially_copyable_v<T>
-class TypedWriter {
- public:
-  TypedWriter() = default;
-  explicit TypedWriter(std::size_t reserve_elements) {
-    buf_.reserve(reserve_elements * sizeof(T));
-  }
-
-  void put(const T& v) {
-    const auto old = buf_.size();
-    buf_.resize(old + sizeof(T));
-    std::memcpy(buf_.data() + old, &v, sizeof(T));
-  }
-
-  void put_span(std::span<const T> vs) {
-    const auto old = buf_.size();
-    buf_.resize(old + vs.size_bytes());
-    if (!vs.empty()) std::memcpy(buf_.data() + old, vs.data(), vs.size_bytes());
-  }
-
-  [[nodiscard]] std::size_t elements() const { return buf_.size() / sizeof(T); }
-  [[nodiscard]] bool empty() const { return buf_.empty(); }
-  /// View of the bytes written so far (for checksumming before take()).
-  [[nodiscard]] std::span<const std::byte> bytes() const { return buf_; }
-
-  /// Relinquish the underlying byte buffer (ready for the wire).
-  Bytes take() { return std::move(buf_); }
-
- private:
-  Bytes buf_;
-};
-
 /// Zero-copy reader over a byte buffer holding a homogeneous element
 /// stream.  Unlike BufferReader, `take_span` returns a *view* into the
-/// buffer — the decode path of a tuple exchange never materializes
-/// per-tuple copies.  The buffer must outlive every span taken from it,
-/// and its size must be an exact multiple of sizeof(T).
+/// buffer — the one-shot raw-row paths (fact loads, reshuffles, checkpoint
+/// bodies) never materialize per-tuple copies.  Per-iteration row traffic
+/// uses the row frame (row_frame.hpp) instead.  The buffer must outlive
+/// every span taken from it, and its size must be an exact multiple of
+/// sizeof(T).
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 class TypedReader {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <string>
 
 #include "core/engine.hpp"
@@ -99,6 +100,117 @@ TEST(ExchangeRouter, PlainTargetsDeduplicateBeforeTheWire) {
     rel.materialize();
     EXPECT_EQ(rel.global_size(Version::kFull), 4u);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Emit-time bucket folds
+// ---------------------------------------------------------------------------
+
+enum class FoldTarget { kMin, kSum, kPlain };
+
+RelationConfig fold_target_config(FoldTarget kind) {
+  switch (kind) {
+    case FoldTarget::kMin:
+      return {.name = "fmin", .arity = 3, .jcc = 1, .dep_arity = 1,
+              .aggregator = make_min_aggregator()};
+    case FoldTarget::kSum:
+      return {.name = "fsum", .arity = 3, .jcc = 1, .dep_arity = 1,
+              .aggregator = make_sum_aggregator(), .agg_mode = AggMode::kRefresh};
+    case FoldTarget::kPlain:
+      break;
+  }
+  return {.name = "fplain", .arity = 3, .jcc = 1};
+}
+
+/// Emit `rows` duplicate-heavy rows, all owned by the peer, through a
+/// router with and without pre-aggregation; check the fold accounting, that
+/// both stage the same fixpoint, and that it is the std::map fold of what
+/// the peer emitted.
+void expect_emit_time_folds(FoldTarget kind) {
+  const std::size_t rows = 3 * Relation::kFoldFloor + 17;
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation folded(comm, fold_target_config(kind));
+    Relation reference(comm, fold_target_config(kind));
+    RankProfile profile;
+    ExchangeRouter router(comm, /*preaggregate=*/true);
+    ExchangeRouter append_only(comm, /*preaggregate=*/false);
+    const auto id = router.add_target(&folded);
+    const auto ref_id = append_only.add_target(&reference);
+
+    const auto keys_of = [&](int rank) {  // the first 97 join keys `rank` owns
+      std::vector<value_t> keys;
+      for (value_t k = 0; keys.size() < 97; ++k) {
+        if (folded.owner_rank(Tuple{k, 0, 0}.view()) == rank) keys.push_back(k);
+      }
+      return keys;
+    };
+    // Plain rows repeat whole; aggregated ones repeat their key with a
+    // varying aggregate.
+    const auto row_at = [&](const std::vector<value_t>& keys, std::size_t i) {
+      const value_t dep = kind == FoldTarget::kPlain ? 0 : (i * 7919) % 1000;
+      return Tuple{keys[i % keys.size()], i % 3, dep};
+    };
+    const auto theirs = keys_of(1 - comm.rank());
+    for (std::size_t i = 0; i < rows; ++i) {
+      const Tuple row = row_at(theirs, i);
+      router.emit(id, row.view());
+      append_only.emit(ref_id, row.view());
+    }
+    // Folds fired while emitting, and what is left is a bounded buffer.
+    EXPECT_LT(router.pending_rows(), rows);
+    EXPECT_LE(router.pending_rows(), 2 * Relation::kFoldFloor);
+    // Without pre-aggregation every emitted row stays buffered and is sent:
+    // serving's per-event support counts depend on it.
+    EXPECT_EQ(append_only.pending_rows(), rows);
+
+    const auto st = router.flush(profile, ExchangeAlgorithm::kDense);
+    EXPECT_EQ(st.rows_sent + st.rows_combined, rows);
+    EXPECT_EQ(st.rows_sent, 97u * 3u);  // one row per (key, column 1)
+    EXPECT_EQ(router.pending_rows(), 0u);
+    const auto ref_st = append_only.flush(profile, ExchangeAlgorithm::kDense);
+    EXPECT_EQ(ref_st.rows_sent, rows);
+    EXPECT_EQ(ref_st.rows_combined, 0u);
+    EXPECT_EQ(ref_st.rows_staged, rows);
+
+    folded.materialize();
+    reference.materialize();
+    const auto got = folded.gather_to_root(0);
+    const auto want = reference.gather_to_root(0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got.size(), 2u * 97u * 3u);
+    }
+
+    // The peer emitted the same sequence over this rank's keys.
+    const auto mine = keys_of(comm.rank());
+    std::map<std::pair<value_t, value_t>, value_t> oracle;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const Tuple row = row_at(mine, i);
+      const auto [it, fresh] = oracle.emplace(std::pair{row[0], row[1]}, row[2]);
+      if (!fresh && kind == FoldTarget::kMin) it->second = std::min(it->second, row[2]);
+      if (!fresh && kind == FoldTarget::kSum) it->second += row[2];
+    }
+    std::vector<Tuple> local;
+    folded.tree(Version::kFull).for_each(
+        [&](std::span<const value_t> t) { local.emplace_back(t); });
+    ASSERT_EQ(local.size(), oracle.size());
+    std::size_t at = 0;
+    for (const auto& [key, dep] : oracle) {
+      EXPECT_EQ(local[at++], (Tuple{key.first, key.second, dep}));
+    }
+  });
+}
+
+TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedMin) {
+  expect_emit_time_folds(FoldTarget::kMin);
+}
+
+TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedSum) {
+  expect_emit_time_folds(FoldTarget::kSum);
+}
+
+TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedPlain) {
+  expect_emit_time_folds(FoldTarget::kPlain);
 }
 
 // ---------------------------------------------------------------------------
