@@ -10,6 +10,8 @@
 
 #include "async/termination.hpp"
 #include "core/exchange_router.hpp"
+#include "core/fold_run.hpp"
+#include "core/local_join.hpp"
 #include "core/phase_scope.hpp"
 #include "core/ra_op.hpp"
 #include "core/relation.hpp"
@@ -72,11 +74,13 @@ double wall_now() {
 class StratumLoop {
  public:
   StratumLoop(vmpi::Comm& comm, const AsyncConfig& cfg, core::RankProfile& profile,
-              AsyncLoopStats& ls, const core::Stratum& stratum, int detector_tag_base)
+              AsyncLoopStats& ls, core::JoinKernelTotals& kernel,
+              const core::Stratum& stratum, int detector_tag_base)
       : comm_(comm),
         cfg_(cfg),
         profile_(profile),
         ls_(ls),
+        kernel_(kernel),
         detector_(comm, detector_tag_base),
         targets_(targets_of(stratum.loop_rules)),
         nranks_(static_cast<std::size_t>(comm.size())) {
@@ -212,6 +216,11 @@ class StratumLoop {
     return any;
   }
 
+  /// Kernel sink routing head rows into targets_[out_idx].
+  [[nodiscard]] auto sink_to(std::size_t out_idx) {
+    return [this, out_idx](std::span<const value_t> row) { route_output(out_idx, row); };
+  }
+
   /// Run every loop rule whose recursive side is targets_[target_idx] over
   /// that relation's current delta tree.
   void process_delta(std::size_t target_idx) {
@@ -225,10 +234,9 @@ class StratumLoop {
       const Relation& b = *task.rule->b;
       const std::size_t arity = a.arity();
       // The delta tree iterates in key order, so the local probes below
-      // are already sorted by join prefix — one monotone cursor walks b's
-      // full tree alongside the delta scan.  b is static for the whole
-      // stratum (check_supported), so the cursor stays valid.
-      auto cur = b.tree(Version::kFull).cursor();
+      // reach the kernel sorted by join key.  b is static for the whole
+      // stratum (check_supported), so the kernel's cursor stays valid.
+      core::LocalJoin join(*task.rule, b.tree(Version::kFull), /*probe_is_a=*/true);
       // Replicate each fresh delta row to every rank holding a sub-bucket
       // of the static side's bucket — the point-to-point double of the BSP
       // intra-bucket exchange, paid per row instead of per iteration.
@@ -237,49 +245,27 @@ class StratumLoop {
         b.ranks_of_bucket(bucket, dest_scratch_);
         for (int d : dest_scratch_) {
           ++work;
+          ++kernel_.outer_tuples_shipped;
           if (d == comm_.rank()) {
-            probe_row(task, row, cur);
+            join.probe(row, sink_to(task.out_idx));
           } else {
             append_probe(j, static_cast<std::size_t>(d), row, arity);
           }
         }
       });
+      kernel_ += join.counts();
     }
 
-    static const Tuple kEmpty;
     for (const CopyTask& task : copies_) {
       if (task.src_idx != target_idx) continue;
       const core::CopyRule& rule = *task.rule;
       rule.src->tree(Version::kDelta).for_each([&](std::span<const value_t> row) {
         ++work;
-        if (rule.filter && rule.filter->eval(row, kEmpty.view()) == 0) return;
-        out_scratch_.clear();
-        for (const auto& e : rule.out.cols) {
-          out_scratch_.push_back(e.eval(row, kEmpty.view()));
-        }
-        route_output(task.out_idx, out_scratch_.view());
+        ++kernel_.probes;
+        kernel_.matches += core::copy_row(rule, row, head_scratch_, sink_to(task.out_idx));
       });
     }
     profile_.add_work(Phase::kLocalJoin, work);
-  }
-
-  /// Join one delta row of the recursive side against the local partition
-  /// of the static side; outputs go to their owners.  `cur` must belong to
-  /// b's full tree; callers reuse it across rows so sorted probe streams
-  /// resume from the current leaf instead of re-descending.
-  void probe_row(const JoinTask& task, std::span<const value_t> outer_row,
-                 storage::TupleBTree::Cursor& cur) {
-    const core::JoinRule& rule = *task.rule;
-    const std::size_t jcc = rule.a->jcc();
-    const auto prefix = outer_row.first(jcc);
-    for (cur.seek(prefix); cur.valid() && cur.matches(prefix); cur.next()) {
-      const auto irow = cur.row();
-      if (rule.filter && rule.filter->eval(outer_row, irow) == 0) continue;
-      out_scratch_.clear();
-      out_scratch_.reserve(rule.out.cols.size());
-      for (const auto& e : rule.out.cols) out_scratch_.push_back(e.eval(outer_row, irow));
-      route_output(task.out_idx, out_scratch_.view());
-    }
   }
 
   void route_output(std::size_t out_idx, std::span<const value_t> row) {
@@ -453,12 +439,12 @@ class StratumLoop {
           joins_.size(), [&](std::uint64_t j) { return probe_arity(j); }, rows_scratch_);
       const JoinTask& task = joins_[s.route];
       // Frames are concatenations of delta scans, so rows arrive in sorted
-      // runs; one cursor rides the runs and re-descends only at run seams.
-      auto cur = task.rule->b->tree(Version::kFull).cursor();
-      const std::span<const value_t> flat(rows_scratch_);
-      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
-        probe_row(task, flat.subspan(off, s.arity), cur);
-      }
+      // runs; the kernel's cursor rides the runs and re-descends only at
+      // run seams.
+      core::LocalJoin join(*task.rule, task.rule->b->tree(Version::kFull),
+                           /*probe_is_a=*/true);
+      join.probe_all(rows_scratch_, s.arity, sink_to(task.out_idx));
+      kernel_ += join.counts();
       rows += s.count;
     }
     profile_.add_work(Phase::kLocalJoin, rows);
@@ -489,6 +475,7 @@ class StratumLoop {
   const AsyncConfig& cfg_;
   core::RankProfile& profile_;
   AsyncLoopStats& ls_;
+  core::JoinKernelTotals& kernel_;
   TerminationDetector detector_;
 
   std::vector<Relation*> targets_;
@@ -505,7 +492,7 @@ class StratumLoop {
   std::uint64_t staged_total_ = 0;
   std::size_t stale_rounds_ = 0;
   std::vector<int> dest_scratch_;
-  Tuple out_scratch_;
+  Tuple head_scratch_;
   std::vector<value_t> rows_scratch_;  // decoded section rows
 
   double last_progress_ = 0;  // progress-watchdog clock
@@ -544,12 +531,13 @@ class StratumLoop {
 class SspStratumLoop {
  public:
   SspStratumLoop(vmpi::Comm& comm, const AsyncConfig& cfg, core::RankProfile& profile,
-                 AsyncLoopStats& ls, const core::Stratum& stratum, int detector_tag_base,
-                 std::size_t epochs)
+                 AsyncLoopStats& ls, core::JoinKernelTotals& kernel,
+                 const core::Stratum& stratum, int detector_tag_base, std::size_t epochs)
       : comm_(comm),
         cfg_(cfg),
         profile_(profile),
         ls_(ls),
+        kernel_(kernel),
         detector_(comm, detector_tag_base),
         targets_(targets_of(stratum.loop_rules)),
         nranks_(static_cast<std::size_t>(comm.size())),
@@ -618,15 +606,17 @@ class SspStratumLoop {
     const core::CopyRule* rule;
     std::size_t out_idx;
   };
-  using AccMap = std::unordered_map<Tuple, Tuple, storage::TupleHash>;
 
   /// Live state of one in-flight epoch.  At most ssp_staleness + 2 epochs
   /// are live at once (the gate bounds how far any sender runs ahead of
   /// this rank's fold), and a folded epoch's state is erased — the ledger
   /// for retired epochs is the fold_epoch_ cursor itself.
   struct EpochState {
-    std::vector<AccMap> out_acc;   // per target: locally generated key -> dep
-    std::vector<AccMap> fold_acc;  // per target: owned contributions key -> dep
+    /// Per target: the epoch's contributions, folded per key through the
+    /// target's aggregator.  Until close(e) it gathers this rank's
+    /// generated rows (and any owned partials already arrived); close(e)
+    /// ships the rows other ranks own, and fold(e) stages the rest.
+    std::vector<core::FoldRun> acc;
     std::vector<bool> probe_from;  // first ledger: epoch-e probe frame per source
     std::vector<bool> partial_from;  // second ledger: epoch-e partial frame
     std::size_t probes_seen = 0;
@@ -645,27 +635,18 @@ class SspStratumLoop {
     auto [it, inserted] = live_.try_emplace(e);
     EpochState& st = it->second;
     if (inserted) {
-      st.out_acc.resize(targets_.size());
-      st.fold_acc.resize(targets_.size());
+      for (const Relation* t : targets_) {
+        st.acc.emplace_back(t->arity(), t->indep_arity(), t->config().aggregator.get());
+      }
       st.probe_from.assign(nranks_, false);
       st.partial_from.assign(nranks_, false);
     }
     return st;
   }
 
-  /// Fold one generated row into an accumulator: within-epoch duplicates of
-  /// a key collapse through partial_agg, exactly as Relation::stage would.
-  void merge_acc(AccMap& m, std::size_t target_idx, std::span<const value_t> row) {
-    const Relation& t = *targets_[target_idx];
-    const std::size_t indep = t.indep_arity();
-    Tuple key(row.subspan(0, indep));
-    const auto dep = row.subspan(indep, t.dep_arity());
-    auto [it, inserted] = m.try_emplace(std::move(key), Tuple(dep));
-    if (!inserted) {
-      Tuple merged = it->second;
-      t.config().aggregator->partial_agg(it->second.view(), dep, merged.mutable_view());
-      it->second = std::move(merged);
-    }
+  /// Kernel sink folding head rows into the epoch's accumulator.
+  [[nodiscard]] static auto sink_to(core::FoldRun& acc) {
+    return [&acc](std::span<const value_t> row) { acc.append(row); };
   }
 
   // -- the three epoch steps ---------------------------------------------------
@@ -684,37 +665,35 @@ class SspStratumLoop {
     {
       PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
       std::uint64_t work = 0;
-      static const Tuple kEmpty;
       for (const SspCopy& task : copies_) {
         const core::CopyRule& rule = *task.rule;
         rule.src->tree(Version::kFull).for_each([&](std::span<const value_t> row) {
           ++work;
-          if (rule.filter && rule.filter->eval(row, kEmpty.view()) == 0) return;
-          out_scratch_.clear();
-          for (const auto& ex : rule.out.cols) {
-            out_scratch_.push_back(ex.eval(row, kEmpty.view()));
-          }
-          merge_acc(st.out_acc[task.out_idx], task.out_idx, out_scratch_.view());
+          ++kernel_.probes;
+          kernel_.matches +=
+              core::copy_row(rule, row, head_scratch_, sink_to(st.acc[task.out_idx]));
         });
       }
       for (std::size_t j = 0; j < joins_.size(); ++j) {
         const SspJoin& task = joins_[j];
         const Relation& a = *task.rule->a;
         const Relation& b = *task.rule->b;
-        auto cur = b.tree(Version::kFull).cursor();
+        core::LocalJoin join(*task.rule, b.tree(Version::kFull), /*probe_is_a=*/true);
         a.tree(Version::kFull).for_each([&](std::span<const value_t> row) {
           const auto bucket = a.bucket_of(row);
           b.ranks_of_bucket(bucket, dest_scratch_);
           for (int d : dest_scratch_) {
             ++work;
+            ++kernel_.outer_tuples_shipped;
             if (d == comm_.rank()) {
-              join_probe_row(task, st, row, cur);
+              join.probe(row, sink_to(st.acc[task.out_idx]));
             } else {
               auto& buf = probe_out_[j * nranks_ + static_cast<std::size_t>(d)];
               buf.insert(buf.end(), row.begin(), row.end());
             }
           }
         });
+        kernel_ += join.counts();
       }
       profile_.add_work(Phase::kLocalJoin, work);
     }
@@ -729,25 +708,23 @@ class SspStratumLoop {
   void close_epoch(std::uint64_t e) {
     EpochState& st = epoch_state(e);
     const auto me = static_cast<std::size_t>(comm_.rank());
-    // Partition the pre-folded contributions by owner: self rows go
-    // straight to the fold accumulator, the rest frame up per destination.
+    // Partition the folded contributions by owner: the rest frame up per
+    // destination, own rows stay in the accumulator for fold(e).
     std::vector<std::vector<value_t>> out(targets_.size() * nranks_);
     for (std::size_t i = 0; i < targets_.size(); ++i) {
-      Relation* t = targets_[i];
-      for (const auto& [key, dep] : st.out_acc[i]) {
-        row_scratch_.clear();
-        for (const value_t v : key.view()) row_scratch_.push_back(v);
-        for (const value_t v : dep.view()) row_scratch_.push_back(v);
-        const int dst = t->owner_rank(row_scratch_.view());
-        if (static_cast<std::size_t>(dst) == me) {
-          merge_acc(st.fold_acc[i], i, row_scratch_.view());
-          ++ls_.rows_loopback;
-        } else {
-          auto& buf = out[i * nranks_ + static_cast<std::size_t>(dst)];
-          buf.insert(buf.end(), row_scratch_.view().begin(), row_scratch_.view().end());
-        }
+      const Relation& t = *targets_[i];
+      core::FoldRun& acc = st.acc[i];
+      acc.fold();
+      const auto rows = acc.values();
+      for (std::size_t off = 0; off < rows.size(); off += t.arity()) {
+        const auto row = rows.subspan(off, t.arity());
+        auto& buf = out[i * nranks_ + static_cast<std::size_t>(t.owner_rank(row))];
+        buf.insert(buf.end(), row.begin(), row.end());
       }
-      st.out_acc[i].clear();
+      const auto& own = out[i * nranks_ + me];
+      ls_.rows_loopback += own.size() / t.arity();
+      acc.clear();
+      acc.append(own);
     }
     {
       PhaseScope scope(comm_, profile_, Phase::kAllToAll);
@@ -781,12 +758,7 @@ class SspStratumLoop {
       PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
       for (std::size_t i = 0; i < targets_.size(); ++i) {
         Relation* t = targets_[i];
-        for (const auto& [key, dep] : st.fold_acc[i]) {
-          row_scratch_.clear();
-          for (const value_t v : key.view()) row_scratch_.push_back(v);
-          for (const value_t v : dep.view()) row_scratch_.push_back(v);
-          t->stage(row_scratch_.view());
-        }
+        t->stage_rows(st.acc[i].values());
         // Materialize every target every epoch, rows or not: kRefresh
         // replacement clears the previous state exactly as a BSP iteration
         // boundary would.
@@ -875,23 +847,6 @@ class SspStratumLoop {
     }
   }
 
-  /// Join one scan row against the local partition of the static side;
-  /// outputs accumulate into the epoch's out_acc.
-  void join_probe_row(const SspJoin& task, EpochState& st,
-                      std::span<const value_t> outer_row,
-                      storage::TupleBTree::Cursor& cur) {
-    const core::JoinRule& rule = *task.rule;
-    const std::size_t jcc = rule.a->jcc();
-    const auto prefix = outer_row.first(jcc);
-    for (cur.seek(prefix); cur.valid() && cur.matches(prefix); cur.next()) {
-      const auto irow = cur.row();
-      if (rule.filter && rule.filter->eval(outer_row, irow) == 0) continue;
-      out_scratch_.clear();
-      for (const auto& ex : rule.out.cols) out_scratch_.push_back(ex.eval(outer_row, irow));
-      merge_acc(st.out_acc[task.out_idx], task.out_idx, out_scratch_.view());
-    }
-  }
-
   // -- inbound -----------------------------------------------------------------
 
   void on_ssp_frame(int src, int tag, const vmpi::Bytes& bytes) {
@@ -943,11 +898,10 @@ class SspStratumLoop {
       const auto s = r.section(
           joins_.size(), [&](std::uint64_t j) { return probe_arity(j); }, rows_scratch_);
       const SspJoin& task = joins_[s.route];
-      auto cur = task.rule->b->tree(Version::kFull).cursor();
-      const std::span<const value_t> flat(rows_scratch_);
-      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
-        join_probe_row(task, st, flat.subspan(off, s.arity), cur);
-      }
+      core::LocalJoin join(*task.rule, task.rule->b->tree(Version::kFull),
+                           /*probe_is_a=*/true);
+      join.probe_all(rows_scratch_, s.arity, sink_to(st.acc[task.out_idx]));
+      kernel_ += join.counts();
       rows += s.count;
     }
     profile_.add_work(Phase::kLocalJoin, rows);
@@ -961,10 +915,7 @@ class SspStratumLoop {
       rows_scratch_.clear();
       const auto s = r.section(
           targets_.size(), [&](std::uint64_t i) { return target_arity(i); }, rows_scratch_);
-      const std::span<const value_t> flat(rows_scratch_);
-      for (std::size_t off = 0; off < flat.size(); off += s.arity) {
-        merge_acc(st.fold_acc[s.route], s.route, flat.subspan(off, s.arity));
-      }
+      st.acc[s.route].append(rows_scratch_);
       rows += s.count;
     }
     profile_.add_work(Phase::kDedupAgg, rows);
@@ -1004,6 +955,7 @@ class SspStratumLoop {
   const AsyncConfig& cfg_;
   core::RankProfile& profile_;
   AsyncLoopStats& ls_;
+  core::JoinKernelTotals& kernel_;
   TerminationDetector detector_;
 
   std::vector<Relation*> targets_;
@@ -1021,8 +973,7 @@ class SspStratumLoop {
 
   std::uint64_t staged_total_ = 0;
   std::vector<int> dest_scratch_;
-  Tuple out_scratch_;
-  Tuple row_scratch_;
+  Tuple head_scratch_;
   std::vector<value_t> rows_scratch_;  // decoded section rows
   double last_progress_ = 0;
 };
@@ -1180,9 +1131,9 @@ core::StratumResult AsyncEngine::run_stratum(const core::Stratum& stratum) {
     core::ExchangeRouter router(*comm_, /*preaggregate=*/true);
     for (const auto& rule : stratum.init_rules) {
       if (const auto* j = std::get_if<core::JoinRule>(&rule)) {
-        core::execute_join(*comm_, profile_, *j, router);
+        local_kernel_ += core::execute_join(*comm_, profile_, *j, router);
       } else {
-        core::execute_copy(profile_, std::get<core::CopyRule>(rule), router);
+        local_kernel_ += core::execute_copy(profile_, std::get<core::CopyRule>(rule), router);
       }
     }
     router.flush(profile_, core::ExchangeAlgorithm::kDense);
@@ -1209,7 +1160,8 @@ core::StratumResult AsyncEngine::run_stratum(const core::Stratum& stratum) {
   std::uint64_t rounds = 0;
   std::uint64_t staged = 0;
   if (stratum.fixpoint) {
-    StratumLoop loop(*comm_, cfg_, profile_, loop_stats_, stratum, detector_base);
+    StratumLoop loop(*comm_, cfg_, profile_, loop_stats_, local_kernel_, stratum,
+                     detector_base);
     loop.run();
     rounds = loop.rounds();
     staged = loop.staged_total();
@@ -1217,8 +1169,8 @@ core::StratumResult AsyncEngine::run_stratum(const core::Stratum& stratum) {
     loop_stats_.tokens_forwarded += loop.detector_stats().tokens_forwarded;
   } else {
     const std::size_t epochs = std::min(stratum.max_rounds, cfg_.max_rounds);
-    SspStratumLoop loop(*comm_, cfg_, profile_, loop_stats_, stratum, detector_base,
-                        epochs);
+    SspStratumLoop loop(*comm_, cfg_, profile_, loop_stats_, local_kernel_, stratum,
+                        detector_base, epochs);
     loop.run();
     rounds = loop.epochs_folded();
     staged = loop.staged_total();
@@ -1282,6 +1234,7 @@ core::RunResult AsyncEngine::run(core::Program& program) {
     vmpi::StatsPause pause(*comm_);
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
+    core::reduce_kernel_totals(*comm_, local_kernel_, result);
   }
   return result;
 }

@@ -182,6 +182,7 @@ class AsyncEngine {
   AsyncConfig cfg_;
   core::RankProfile profile_;
   AsyncLoopStats loop_stats_;
+  core::JoinKernelTotals local_kernel_;  // this rank's share; reduced in run()
   std::uint64_t stratum_seq_ = 0;  // offsets detector tags per stratum
 };
 

@@ -16,6 +16,17 @@ void push_unique(std::vector<Relation*>& v, Relation* r) {
 
 }  // namespace
 
+void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunResult& result) {
+  const auto fill = [&](JoinKernelTotals& out, vmpi::ReduceOp op) {
+    for (auto field : {&JoinKernelTotals::outer_tuples_shipped, &JoinKernelTotals::probes,
+                       &JoinKernelTotals::probe_seeks, &JoinKernelTotals::matches}) {
+      out.*field = comm.allreduce<std::uint64_t>(local.*field, op);
+    }
+  };
+  fill(result.kernel, vmpi::ReduceOp::kSum);
+  fill(result.kernel_max, vmpi::ReduceOp::kMax);
+}
+
 std::vector<Relation*> Engine::targets_of(const std::vector<Rule>& rules) {
   std::vector<Relation*> out;
   for (const auto& rule : rules) {
@@ -42,15 +53,11 @@ RuleExecStats Engine::execute_rule(const Rule& rule, ExchangeRouter& router) {
   if (const auto* j = std::get_if<JoinRule>(&rule)) {
     const std::optional<JoinOrderPolicy> forced =
         cfg_.dynamic_join_order ? std::nullopt : std::optional(cfg_.fixed_order);
-    stats = execute_join(*comm_, profile_, *j, router, forced, cfg_.exchange,
-                         cfg_.probe_kernel);
+    stats = execute_join(*comm_, profile_, *j, router, forced, cfg_.exchange);
   } else {
     stats = execute_copy(profile_, std::get<CopyRule>(rule), router);
   }
-  local_kernel_.outer_tuples_shipped += stats.outer_tuples_shipped;
-  local_kernel_.probes += stats.probes;
-  local_kernel_.probe_seeks += stats.probe_seeks;
-  local_kernel_.matches += stats.matches;
+  local_kernel_ += stats;
   local_skew_.broadcast_rows += stats.hot_broadcast_rows;
   return stats;
 }
@@ -318,22 +325,7 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
     vmpi::StatsPause pause(*comm_);
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
-    result.kernel.outer_tuples_shipped = comm_->allreduce<std::uint64_t>(
-        local_kernel_.outer_tuples_shipped, vmpi::ReduceOp::kSum);
-    result.kernel.probes =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probes, vmpi::ReduceOp::kSum);
-    result.kernel.probe_seeks =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probe_seeks, vmpi::ReduceOp::kSum);
-    result.kernel.matches =
-        comm_->allreduce<std::uint64_t>(local_kernel_.matches, vmpi::ReduceOp::kSum);
-    result.kernel_max.outer_tuples_shipped = comm_->allreduce<std::uint64_t>(
-        local_kernel_.outer_tuples_shipped, vmpi::ReduceOp::kMax);
-    result.kernel_max.probes =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probes, vmpi::ReduceOp::kMax);
-    result.kernel_max.probe_seeks =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probe_seeks, vmpi::ReduceOp::kMax);
-    result.kernel_max.matches =
-        comm_->allreduce<std::uint64_t>(local_kernel_.matches, vmpi::ReduceOp::kMax);
+    reduce_kernel_totals(*comm_, local_kernel_, result);
     // Detection runs are symmetric (max = the shared count); row moves are
     // per-rank shares, so they sum.
     result.skew.detections =

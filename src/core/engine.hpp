@@ -75,13 +75,6 @@ struct EngineConfig {
   /// before they hit the wire.
   bool router_preagg = true;
 
-  /// Probe-side strategy for the local join: sorted-batch with monotone
-  /// B-tree cursors (default), or the arrival-order baseline.  Output
-  /// fixpoints are bit-identical either way (router staging is
-  /// order-insensitive, DESIGN.md §6.1); this is a pure speed knob kept
-  /// switchable for A/B measurement.
-  ProbeKernel probe_kernel = ProbeKernel::kSorted;
-
   /// Safety net for runaway fixpoints (and the bound for refresh strata
   /// that forgot to set max_rounds).
   std::size_t max_iterations = 1'000'000;
@@ -119,16 +112,6 @@ struct StratumResult {
   bool aborted_tuple_limit = false;    // stopped by EngineConfig::tuple_limit
 };
 
-/// Whole-run local-join kernel counters, summed over ranks and rules.
-/// probe_seeks / probes is the descent-dedup ratio of the sorted kernel;
-/// bench/probe_kernel pairs these with the B-tree comparison counters.
-struct JoinKernelTotals {
-  std::uint64_t outer_tuples_shipped = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t probe_seeks = 0;
-  std::uint64_t matches = 0;
-};
-
 struct RunResult {
   std::size_t total_iterations = 0;
   std::vector<StratumResult> strata;
@@ -148,7 +131,9 @@ struct RunResult {
   bool resumed = false;
   ProfileSummary profile;      // identical on every rank
   vmpi::CommStats comm_total;  // identical on every rank
-  JoinKernelTotals kernel;     // identical on every rank
+  /// Whole-run local-join kernel counters (core/local_join.hpp), summed
+  /// over ranks and rules; identical on every rank.
+  JoinKernelTotals kernel;
   /// Max-over-ranks of each kernel counter (identical on every rank) —
   /// the straggler's view.  kernel / kernel_max is the skew story: a
   /// uniform workload has kernel_max ≈ kernel / nranks, a hub-dominated
@@ -159,6 +144,11 @@ struct RunResult {
   SkewStats skew;
   double wall_seconds = 0;     // this rank's view
 };
+
+/// Fill `result.kernel` (sums over ranks) and `result.kernel_max` (maxima)
+/// from this rank's kernel counters.  Collective; both engines' run
+/// summaries call it.
+void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunResult& result);
 
 class Engine {
  public:

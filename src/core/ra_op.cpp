@@ -1,10 +1,9 @@
 #include "core/ra_op.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
+#include "core/local_join.hpp"
 #include "core/phase_scope.hpp"
 #include "vmpi/row_frame.hpp"
 
@@ -60,30 +59,11 @@ std::vector<vmpi::Bytes> encode_all(const std::vector<std::vector<value_t>>& out
   return send;
 }
 
-/// Evaluate the head and hand the output tuple to the router (shipping is
-/// deferred to the router flush).
-void emit_output(const OutputSpec& out, std::span<const value_t> a,
-                 std::span<const value_t> b, Tuple& scratch, ExchangeRouter& router,
-                 std::uint32_t route) {
-  scratch.clear();
-  scratch.reserve(out.cols.size());
-  for (const auto& e : out.cols) scratch.push_back(e.eval(a, b));
-  router.emit(route, scratch.view());
-}
-
-/// Decode the received outer frames into one flat row-major batch.
-std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received,
-                                        std::size_t arity) {
-  std::vector<value_t> batch;
-  for (const auto& buf : received) vmpi::decode_rows(buf, arity, batch);
-  return batch;
-}
-
 }  // namespace
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            ExchangeRouter& router, std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo, ProbeKernel kernel) {
+                           ExchangeAlgorithm exchange_algo) {
   RuleExecStats stats;
   const std::uint32_t route = router.add_target(rule.out.target);
   const std::size_t jcc = rule.a->jcc();
@@ -128,125 +108,16 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
   // ---- Phase: local join (outputs emitted into the router) ------------------
   {
     PhaseScope scope(comm, profile, Phase::kLocalJoin);
-    const auto& inner_tree = inner.tree(inner_version);
-    const std::size_t outer_arity = outer.arity();
-    Tuple scratch;
-    static const Tuple kNoMatch;
-
-    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer_arity);
-    assert(outer_arity > 0 && batch.size() % outer_arity == 0);
-    const std::size_t nrows = batch.size() / outer_arity;
-    const auto row_of = [&](std::size_t i) {
-      return std::span<const value_t>(batch.data() + i * outer_arity, outer_arity);
-    };
-
-    const auto emit_pair = [&](std::span<const value_t> orow,
-                               std::span<const value_t> irow) {
-      const auto a = plan.a_outer ? orow : irow;
-      const auto b = plan.a_outer ? irow : orow;
-      if (rule.filter && rule.filter->eval(a, b) == 0) return;
-      ++stats.matches;
-      emit_output(rule.out, a, b, scratch, router, route);
-    };
-
-    if (kernel == ProbeKernel::kUnsorted) {
-      // Baseline: probe in arrival order, one full descent per outer row.
-      for (std::size_t i = 0; i < nrows; ++i) {
-        const auto orow = row_of(i);
-        ++stats.probes;
-        if (rule.anti) {
-          if (rule.pre_filter && rule.pre_filter->eval(orow, kNoMatch.view()) == 0) {
-            continue;  // the rule never considers this A row
-          }
-          ++stats.probe_seeks;
-          bool exists = false;
-          inner_tree.scan_prefix(orow.first(jcc), [&](std::span<const value_t> irow) {
-            if (rule.filter && rule.filter->eval(orow, irow) == 0) return;
-            exists = true;
-          });
-          if (!exists) {
-            ++stats.matches;
-            emit_output(rule.out, orow, kNoMatch.view(), scratch, router, route);
-          }
-          continue;
-        }
-        ++stats.probe_seeks;
-        inner_tree.scan_prefix(orow.first(jcc),
-                               [&](std::span<const value_t> irow) { emit_pair(orow, irow); });
-      }
-    } else {
-      // Sorted-batch kernel: order probes by join-key prefix so the
-      // monotone cursor advances through the inner tree once, and share
-      // one seek across a run of equal keys (the match range is recorded
-      // on the first probe and replayed for the rest — filters still run
-      // per pair, so semantics are unchanged).  Output *content* is
-      // unaffected by the reordering: router staging is order-insensitive
-      // (DESIGN.md §6.1).
-      std::vector<std::uint32_t> order(nrows);
-      std::iota(order.begin(), order.end(), 0);
-      // stable_sort keeps arrival order within equal keys; comparisons
-      // here are plain (not counted against the B-tree).
-      std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-        return storage::compare_prefix(row_of(x), row_of(y), jcc) < 0;
-      });
-
-      auto cursor = inner_tree.cursor();
-      std::size_t g = 0;
-      while (g < nrows) {
-        const auto gkey = row_of(order[g]).first(jcc);
-        std::size_t ge = g + 1;
-        while (ge < nrows && storage::compare_prefix(row_of(order[ge]), gkey, jcc) == 0) {
-          ++ge;
-        }
-
-        // Lazy: antijoin pre-filters may reject the whole group without
-        // ever touching the tree.
-        bool sought = false;
-        storage::TupleBTree::Cursor::Position begin{};
-        std::size_t nmatch = 0;
-        const auto ensure_range = [&]() {
-          if (sought) return;
-          cursor.seek(gkey);
-          ++stats.probe_seeks;
-          begin = cursor.position();
-          while (cursor.valid() && cursor.matches(gkey)) {
-            ++nmatch;
-            cursor.next();
-          }
-          sought = true;
-        };
-
-        for (std::size_t k = g; k < ge; ++k) {
-          const auto orow = row_of(order[k]);
-          ++stats.probes;
-          if (rule.anti) {
-            if (rule.pre_filter && rule.pre_filter->eval(orow, kNoMatch.view()) == 0) {
-              continue;
-            }
-            ensure_range();
-            bool exists = false;
-            cursor.restore(begin);
-            for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-              if (rule.filter && rule.filter->eval(orow, cursor.row()) == 0) continue;
-              exists = true;
-              break;
-            }
-            if (!exists) {
-              ++stats.matches;
-              emit_output(rule.out, orow, kNoMatch.view(), scratch, router, route);
-            }
-            continue;
-          }
-          ensure_range();
-          cursor.restore(begin);
-          for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-            emit_pair(orow, cursor.row());
-          }
-        }
-        g = ge;
-      }
-    }
-    stats.outputs = stats.matches;
+    const std::size_t arity = outer.arity();
+    std::vector<value_t> batch;
+    for (const auto& buf : received_outer) vmpi::decode_rows(buf, arity, batch);
+    // Each source ships a key-sorted scan; a stable sort on the join key
+    // merges them, so the kernel seeks once per distinct key.
+    storage::sort_rows(batch, arity, jcc);
+    LocalJoin join(rule, inner.tree(inner_version), plan.a_outer);
+    join.probe_all(batch, arity,
+                   [&](std::span<const value_t> head) { router.emit(route, head); });
+    stats += join.counts();
     profile.add_work(Phase::kLocalJoin, stats.probes + stats.matches);
   }
   return stats;
@@ -258,15 +129,13 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
   const std::uint32_t route = router.add_target(rule.out.target);
 
   PhaseScope scope(router.comm(), profile, Phase::kLocalJoin);
-  static const Tuple kEmpty;
-  Tuple scratch;
+  Tuple head;
   rule.src->tree(rule.version).for_each([&](std::span<const value_t> t) {
     ++stats.probes;
-    if (rule.filter && rule.filter->eval(t, kEmpty.view()) == 0) return;
-    ++stats.matches;
-    emit_output(rule.out, t, kEmpty.view(), scratch, router, route);
+    stats.matches += copy_row(rule, t, head, [&](std::span<const value_t> row) {
+      router.emit(route, row);
+    });
   });
-  stats.outputs = stats.matches;
   // Same convention as execute_join: a kLocalJoin work unit is one row
   // visited plus one row produced, so copy and join workloads are
   // comparable in the balancer's eyes.
@@ -276,9 +145,9 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo, ProbeKernel kernel) {
+                           ExchangeAlgorithm exchange_algo) {
   ExchangeRouter router(comm);
-  const auto stats = execute_join(comm, profile, rule, router, forced, exchange_algo, kernel);
+  const auto stats = execute_join(comm, profile, rule, router, forced, exchange_algo);
   router.flush(profile, exchange_algo);
   return stats;
 }

@@ -5,12 +5,13 @@
 // One call to `execute_join` is one pass of the pipeline in the paper's
 // Fig. 1: dynamic join planning → outer-relation serialization →
 // intra-bucket exchange (MPI_Alltoallv) → highly parallel local join
-// (B-tree probes) → generated tuples *emitted into an ExchangeRouter*.
-// Shipping is decoupled from emission: the engine flushes the router once
-// per iteration (fused mode) or after each rule (legacy mode), and the
-// flush stages arrivals into the target's fused dedup/aggregation area.
-// Materialization itself (Relation::materialize) is driven by the engine
-// at iteration end, after all rules have run.
+// (B-tree probes through core::LocalJoin, core/local_join.hpp) → generated
+// tuples *emitted into an ExchangeRouter*.  Shipping is decoupled from
+// emission: the engine flushes the router once per iteration (fused mode)
+// or after each rule (legacy mode), and the flush stages arrivals into the
+// target's fused dedup/aggregation area.  Materialization itself
+// (Relation::materialize) is driven by the engine at iteration end, after
+// all rules have run.
 
 #include <optional>
 #include <variant>
@@ -71,29 +72,28 @@ struct CopyRule {
 
 using Rule = std::variant<JoinRule, CopyRule>;
 
-/// Probe-side strategy for the local join kernel.
-enum class ProbeKernel {
-  /// Sorted-batch (default): decode the received outer buffers into one
-  /// flat probe batch, sort it by join-key prefix, share a single B-tree
-  /// seek across equal keys (replaying the recorded match range), and
-  /// drive everything through a monotone TupleBTree::Cursor so
-  /// consecutive seeks resume from the current leaf.
-  kSorted,
-  /// Arrival-order probing with a fresh root descent per outer row — the
-  /// pre-cursor baseline, kept for A/B measurement (bench/probe_kernel).
-  kUnsorted,
+/// Local-join kernel counters (core::LocalJoin fills probes, probe_seeks
+/// and matches; the engines add the rows they replicated to feed it).
+/// probe_seeks / probes is the kernel's descent-dedup ratio: one seek per
+/// run of equal join keys.
+struct JoinKernelTotals {
+  std::uint64_t outer_tuples_shipped = 0;  // probe rows replicated toward the inner side
+  std::uint64_t probes = 0;                // probe rows (and copy source rows) taken
+  std::uint64_t probe_seeks = 0;           // B-tree seeks issued
+  std::uint64_t matches = 0;               // head rows emitted
+  JoinKernelTotals& operator+=(const JoinKernelTotals& o) {
+    outer_tuples_shipped += o.outer_tuples_shipped;
+    probes += o.probes;
+    probe_seeks += o.probe_seeks;
+    matches += o.matches;
+    return *this;
+  }
 };
 
-struct RuleExecStats {
+struct RuleExecStats : JoinKernelTotals {
   bool a_was_outer = false;
   bool planned_dynamically = false;
-  std::uint64_t outer_tuples_shipped = 0;  // intra-bucket serialization volume
-  std::uint64_t probes = 0;                // outer tuples probed into the inner tree
-  std::uint64_t probe_seeks = 0;           // B-tree seeks issued (< probes when
-                                           // sorted batching dedups equal keys)
-  std::uint64_t matches = 0;               // joined pairs surviving the filter
-  std::uint64_t outputs = 0;               // tuples sent to the target
-  std::uint64_t hot_broadcast_rows = 0;    // probe rows broadcast for hot inner keys
+  std::uint64_t hot_broadcast_rows = 0;  // probe rows broadcast for hot inner keys
 };
 
 /// Run one join pass, emitting generated tuples into `router` (they ship
@@ -103,8 +103,7 @@ struct RuleExecStats {
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            ExchangeRouter& router,
                            std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense,
-                           ProbeKernel kernel = ProbeKernel::kSorted);
+                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 
 /// Run one copy/project pass into `router`.  Local (copies only emit).
 RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
@@ -116,8 +115,7 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 /// router instead.
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense,
-                           ProbeKernel kernel = ProbeKernel::kSorted);
+                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule,
                            ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 

@@ -7,7 +7,7 @@
 #include <variant>
 
 #include "core/expr.hpp"
-#include "core/ra_op.hpp"
+#include "core/local_join.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/row_frame.hpp"
 #include "vmpi/serialize.hpp"
@@ -27,9 +27,26 @@ Relation* target_of(const core::Rule& rule) {
 }
 
 template <typename Map>
-std::span<const Tuple> rows_of(const Map& m, Relation* r) {
+std::span<const value_t> rows_of(const Map& m, Relation* r) {
   const auto it = m.find(r);
-  return it == m.end() ? std::span<const Tuple>{} : std::span<const Tuple>(it->second);
+  return it == m.end() ? std::span<const value_t>{} : std::span<const value_t>(it->second);
+}
+
+/// Kernel sink: append each head row of target `t` to its owner's buffer.
+auto owner_sink(const Relation& t, std::vector<std::vector<value_t>>& out) {
+  return [&t, &out](std::span<const value_t> row) {
+    append_row(out[static_cast<std::size_t>(t.owner_rank(row))], row);
+  };
+}
+
+/// Run copy rule `c` over flat `rows` into per-owner candidate buffers.
+void copy_rows(const core::CopyRule& c, std::span<const value_t> rows,
+               std::vector<std::vector<value_t>>& out) {
+  const std::size_t ar = c.src->arity();
+  Tuple head;
+  for (std::size_t off = 0; off < rows.size(); off += ar) {
+    core::copy_row(c, rows.subspan(off, ar), head, owner_sink(*c.out.target, out));
+  }
 }
 
 /// The engine settings serving's bookkeeping depends on, applied over the
@@ -43,8 +60,6 @@ core::EngineConfig serving_engine_config(core::EngineConfig e) {
   e.checkpoint_path.clear();
   return e;
 }
-
-constexpr std::span<const value_t> kNoSide;  // absent side B of a copy rule
 
 }  // namespace
 
@@ -325,7 +340,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       const std::span<const value_t> row{dflat.data() + off, ar};
       if (b->tree(core::Version::kFull).erase_key(row)) {
-        deleted[b].emplace_back(row);
+        append_row(deleted[b], row);
         ++res.base_deleted;
       } else {
         ++res.missing_deletes;
@@ -335,7 +350,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       const std::span<const value_t> row{iflat.data() + off, ar};
       if (b->tree(core::Version::kFull).insert(row)) {
-        inserted[b].emplace_back(row);
+        append_row(inserted[b], row);
         ++res.base_inserted;
       }
     }
@@ -345,11 +360,13 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
   for (const RevSpec& rs : revs_) {
     std::vector<std::vector<value_t>> del(n), ins(n);
     std::vector<value_t> rrow(rs.base->arity() + 1);
-    const auto pack = [&](std::span<const Tuple> rows,
+    const auto pack = [&](std::span<const value_t> rows,
                           std::vector<std::vector<value_t>>& out) {
-      for (const Tuple& t : rows) {
-        rrow[0] = t[rs.col];
-        std::copy(t.view().begin(), t.view().end(), rrow.begin() + 1);
+      const std::size_t bar = rs.base->arity();
+      for (std::size_t off = 0; off < rows.size(); off += bar) {
+        const auto row = rows.subspan(off, bar);
+        rrow[0] = row[rs.col];
+        std::copy(row.begin(), row.end(), rrow.begin() + 1);
         append_row(out[static_cast<std::size_t>(rs.rev->owner_rank(rrow))], rrow);
       }
     };
@@ -369,40 +386,26 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
   }
 }
 
-void ServingEngine::emit_candidates(
-    const core::Rule& rule, Relation* probe_rel, std::span<const Tuple> probe_rows,
-    std::unordered_map<Relation*, std::vector<std::vector<value_t>>>& cand) {
-  const auto& jr = std::get<core::JoinRule>(rule);
-  Relation* partner = probe_rel == jr.a ? jr.b : jr.a;
-  const bool probe_is_a = probe_rel == jr.a;
-  const auto n = static_cast<std::size_t>(comm_->size());
+void ServingEngine::exchange_join(const core::JoinRule& jr, bool probe_is_a,
+                                  std::span<const value_t> probe_rows,
+                                  std::vector<std::vector<value_t>>& out) {
+  const Relation& probe_rel = probe_is_a ? *jr.a : *jr.b;
+  const Relation& partner = probe_is_a ? *jr.b : *jr.a;
+  const std::size_t ar = probe_rel.arity();
 
   // Replicate each probe to every rank holding a sub-bucket of the
   // partner's bucket (the probe's leading jcc columns ARE the join key).
-  std::vector<std::vector<value_t>> send(n);
+  std::vector<std::vector<value_t>> send(static_cast<std::size_t>(comm_->size()));
   std::vector<int> dests;
-  for (const Tuple& p : probe_rows) {
-    partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
-    for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
+  for (std::size_t off = 0; off < probe_rows.size(); off += ar) {
+    const auto p = probe_rows.subspan(off, ar);
+    partner.ranks_of_bucket(partner.bucket_of(p), dests);
+    for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p);
   }
-  const std::size_t par = probe_rel->arity();
-  auto flat = exchange_flat(std::move(send), par);
-
-  Relation* t = jr.out.target;
-  auto& out = cand[t];
-  const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-  std::vector<value_t> row;
-  for (std::size_t off = 0; off < flat.size(); off += par) {
-    const std::span<const value_t> prow{flat.data() + off, par};
-    ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-      const auto arow = probe_is_a ? prow : q;
-      const auto brow = probe_is_a ? q : prow;
-      if (jr.filter && jr.filter->eval(arow, brow) == 0) return;
-      row.clear();
-      for (const Expr& e : jr.out.cols) row.push_back(e.eval(arow, brow));
-      append_row(out[static_cast<std::size_t>(t->owner_rank(row))], row);
-    });
-  }
+  auto flat = exchange_flat(std::move(send), ar);
+  storage::sort_rows(flat, ar, partner.jcc());
+  core::LocalJoin join(jr, partner.tree(core::Version::kFull), probe_is_a);
+  join.probe_all(flat, ar, owner_sink(*jr.out.target, out));
 }
 
 void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retracted,
@@ -420,19 +423,12 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
         // At most one side has probes per round (round 1: the base side;
         // later: the derived side), but both calls always run — the probe
         // exchange is collective.
-        emit_candidates(*rule, j->a, rows_of(wave, j->a), cand);
-        emit_candidates(*rule, j->b, rows_of(wave, j->b), cand);
+        auto& out = cand[j->out.target];
+        exchange_join(*j, /*probe_is_a=*/true, rows_of(wave, j->a), out);
+        exchange_join(*j, /*probe_is_a=*/false, rows_of(wave, j->b), out);
       } else {
         const auto& c = std::get<core::CopyRule>(*rule);
-        Relation* t = c.out.target;
-        auto& out = cand[t];
-        std::vector<value_t> row;
-        for (const Tuple& p : rows_of(wave, c.src)) {
-          if (c.filter && c.filter->eval(p.view(), kNoSide) == 0) continue;
-          row.clear();
-          for (const Expr& e : c.out.cols) row.push_back(e.eval(p.view(), kNoSide));
-          append_row(out[static_cast<std::size_t>(t->owner_rank(row))], row);
-        }
+        copy_rows(c, rows_of(wave, c.src), cand[c.out.target]);
       }
     }
 
@@ -464,9 +460,9 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
           kill = t->support_of(key) > 0 && t->support_release(key, 1) == 0;
         }
         if (!kill) continue;
-        Tuple removed = t->retract_key(key);
+        const Tuple removed = t->retract_key(key);
         retracted[t].insert(Tuple(key));
-        next[t].push_back(std::move(removed));
+        append_row(next[t], removed.view());
         ++round_retracted;
       }
     }
@@ -479,8 +475,7 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
   }
 }
 
-void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res) {
-  (void)res;
+void ServingEngine::recover_retracted(const KeysBy& retracted) {
   const auto n = static_cast<std::size_t>(comm_->size());
   for (std::size_t ri = 0; ri < rec_rules_.size(); ++ri) {
     const core::Rule& rule = *rec_rules_[ri];
@@ -511,46 +506,20 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
 
     // Enumerate premises; join rules take one more hop to pair them with
     // the partner side.
-    std::unordered_map<Relation*, std::vector<std::vector<value_t>>> cand;
-    cand[target].resize(n);
-    auto& out = cand[target];
-    std::vector<std::vector<value_t>> psend(n);
-    Relation* partner = j ? (rc.premise_is_b ? j->a : j->b) : nullptr;
-    const bool premise_is_a = j != nullptr && !rc.premise_is_b;
-    std::vector<value_t> row;
+    std::vector<std::vector<value_t>> out(n);
+    std::vector<value_t> premises;
     const auto& stree = std::as_const(scan_rel->tree(core::Version::kFull));
     for (const value_t k0 : kset) {
       const value_t pfx[1] = {k0};
       stree.scan_prefix(pfx, [&](std::span<const value_t> srow) {
-        const std::span<const value_t> prow =
-            rc.via == Recovery::Via::kReverseIndex ? srow.subspan(1) : srow;
-        if (j != nullptr) {
-          partner->ranks_of_bucket(partner->bucket_of(prow), dests);
-          for (const int d : dests) append_row(psend[static_cast<std::size_t>(d)], prow);
-        } else {
-          const auto& c = std::get<core::CopyRule>(rule);
-          if (c.filter && c.filter->eval(prow, kNoSide) == 0) return;
-          row.clear();
-          for (const Expr& e : c.out.cols) row.push_back(e.eval(prow, kNoSide));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-        }
+        append_row(premises,
+                   rc.via == Recovery::Via::kReverseIndex ? srow.subspan(1) : srow);
       });
     }
     if (j != nullptr) {
-      const std::size_t par = premise->arity();
-      auto pflat = exchange_flat(std::move(psend), par);
-      const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-      for (std::size_t off = 0; off < pflat.size(); off += par) {
-        const std::span<const value_t> prow{pflat.data() + off, par};
-        ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-          const auto arow = premise_is_a ? prow : q;
-          const auto brow = premise_is_a ? q : prow;
-          if (j->filter && j->filter->eval(arow, brow) == 0) return;
-          row.clear();
-          for (const Expr& e : j->out.cols) row.push_back(e.eval(arow, brow));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-        });
-      }
+      exchange_join(*j, /*probe_is_a=*/!rc.premise_is_b, premises, out);
+    } else {
+      copy_rows(std::get<core::CopyRule>(rule), premises, out);
     }
 
     // Final hop: candidates to the target owner, staged ONLY for keys this
@@ -568,46 +537,18 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
   }
 }
 
-void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retracted,
-                                 UpdateResult& res) {
-  (void)res;
+void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retracted) {
   const auto n = static_cast<std::size_t>(comm_->size());
   for (const core::Rule* rule : rec_rules_) {
     Relation* target = target_of(*rule);
     std::vector<std::vector<value_t>> out(n);
-    std::vector<value_t> row;
-    std::vector<int> dests;
     if (const auto* jr = std::get_if<core::JoinRule>(rule)) {
-      Relation* bside = is_base(jr->a) ? jr->a : jr->b;  // validated: exactly one
-      Relation* partner = bside == jr->a ? jr->b : jr->a;
-      const bool probe_is_a = bside == jr->a;
-      std::vector<std::vector<value_t>> send(n);
-      for (const Tuple& p : rows_of(inserted_base, bside)) {
-        partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
-        for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
-      }
-      const std::size_t par = bside->arity();
-      auto flat = exchange_flat(std::move(send), par);
-      const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-      for (std::size_t off = 0; off < flat.size(); off += par) {
-        const std::span<const value_t> prow{flat.data() + off, par};
-        ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-          const auto arow = probe_is_a ? prow : q;
-          const auto brow = probe_is_a ? q : prow;
-          if (jr->filter && jr->filter->eval(arow, brow) == 0) return;
-          row.clear();
-          for (const Expr& e : jr->out.cols) row.push_back(e.eval(arow, brow));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-        });
-      }
+      const bool probe_is_a = is_base(jr->a);  // validated: exactly one base side
+      exchange_join(*jr, probe_is_a, rows_of(inserted_base, probe_is_a ? jr->a : jr->b),
+                    out);
     } else {
       const auto& c = std::get<core::CopyRule>(*rule);
-      for (const Tuple& p : rows_of(inserted_base, c.src)) {
-        if (c.filter && c.filter->eval(p.view(), kNoSide) == 0) continue;
-        row.clear();
-        for (const Expr& e : c.out.cols) row.push_back(e.eval(p.view(), kNoSide));
-        append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-      }
+      copy_rows(c, rows_of(inserted_base, c.src), out);
     }
     const std::size_t tar = target->arity(), indep = target->indep_arity();
     auto cflat = exchange_flat(std::move(out), tar);
@@ -636,8 +577,8 @@ UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
 
     KeysBy retracted;
     retract_wavefront(deleted, retracted, res);
-    recover_retracted(retracted, res);
-    seed_inserts(inserted, retracted, res);
+    recover_retracted(retracted);
+    seed_inserts(inserted, retracted);
 
     // Fold the combined seed (recovered + newly derived) into full/delta.
     for (Relation* t : rec_targets_) res.tuples_derived += t->materialize().staged;

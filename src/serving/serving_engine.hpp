@@ -215,8 +215,8 @@ class ServingEngine {
     Relation* rev = nullptr;
   };
 
-  // Per-relation mutation lists keyed by the relation (owner-side rows).
-  using RowsBy = std::unordered_map<Relation*, std::vector<Tuple>>;
+  // Per-relation mutation lists keyed by the relation (owner-side flat rows).
+  using RowsBy = std::unordered_map<Relation*, std::vector<value_t>>;
   // Retracted keys per derived relation (owner-side, this batch).
   using KeysBy = std::unordered_map<Relation*, std::unordered_set<Tuple, storage::TupleHash>>;
 
@@ -246,12 +246,14 @@ class ServingEngine {
   void apply_base(const UpdateBatch& batch, RowsBy& deleted, RowsBy& inserted,
                   UpdateResult& res);
 
-  /// Emit retraction candidates for every (probe row × partner full row)
-  /// pair of `rule` into `cand` (per-target, per-destination flat rows).
-  /// `probe_rel` is the rule side the wavefront invalidated.
-  void emit_candidates(const core::Rule& rule, Relation* probe_rel,
-                       std::span<const Tuple> probe_rows,
-                       std::unordered_map<Relation*, std::vector<std::vector<value_t>>>& cand);
+  /// Serving's one join: replicate flat `probe_rows` (side A of `jr` when
+  /// `probe_is_a`, else side B) to every rank holding a sub-bucket of the
+  /// partner's bucket, exchange them, and join the arrivals — sorted by
+  /// join key — against the partner's full tree through core::LocalJoin.
+  /// Each head row is appended to `out[owner]`.  Collective.
+  void exchange_join(const core::JoinRule& jr, bool probe_is_a,
+                     std::span<const value_t> probe_rows,
+                     std::vector<std::vector<value_t>>& out);
 
   /// Phase 1: DRed over-deletion wavefront.  Returns when globally
   /// quiescent; fills `retracted` with the keys removed on this rank.
@@ -260,12 +262,11 @@ class ServingEngine {
 
   /// Phase 2: re-derive the retracted keys from surviving facts; stages
   /// (does not materialize) the recovered candidates.
-  void recover_retracted(const KeysBy& retracted, UpdateResult& res);
+  void recover_retracted(const KeysBy& retracted);
 
   /// Phase 3: stage the inserted facts' immediate consequences, skipping
   /// candidates for retracted keys (phase 2 already produced those).
-  void seed_inserts(const RowsBy& inserted_base, const KeysBy& retracted,
-                    UpdateResult& res);
+  void seed_inserts(const RowsBy& inserted_base, const KeysBy& retracted);
 
   void build_reverse_indexes();
   [[nodiscard]] Relation* find_relation(const std::string& name) const;

@@ -19,9 +19,9 @@
 // *monotone* seek: a seek to a key at or beyond the current position
 // resumes from the current leaf via the leaf chain and only re-descends
 // from the root when the target lies further ahead (or behind — a
-// non-monotone seek is legal, it just pays the descent).  The sorted-batch
-// join kernel in core/ra_op.cpp exploits this: probes arrive sorted by
-// join key, so most seeks touch only the current leaf.  `scan_prefix` and
+// non-monotone seek is legal, it just pays the descent).  The local join
+// kernel (core/local_join.hpp) exploits this: probes arrive sorted by join
+// key, so most seeks touch only the current leaf.  `scan_prefix` and
 // `for_each` are thin templated wrappers over the cursor — no
 // `std::function` (and no virtual dispatch) anywhere in the scan loop.
 //
@@ -33,8 +33,8 @@
 // The tree also keeps a key-comparison counter which the benchmark harness
 // uses for modelled scaling: the paper's Fig. 5 analysis attributes
 // low-core-count cost to B-tree operations, and the counter makes that
-// attribution reproducible (`bench/probe_kernel` reports
-// comparisons-per-probe from it).
+// attribution reproducible (`bench/suite` reports
+// `btree.probe_cmp_per_probe` from it).
 
 #include <cassert>
 #include <cstdint>

@@ -221,6 +221,16 @@ TEST(AsyncEngine, LoopIsCollectiveFreeAndPointToPoint) {
     EXPECT_GT(total_sent, 0u);
     EXPECT_EQ(total_recv, total_sent);  // quiescence = every send consumed
     EXPECT_GT(comm.allreduce<std::uint64_t>(ls.token_probes, vmpi::ReduceOp::kSum), 0u);
+
+    // The loop joins through core::LocalJoin, and the run reports its
+    // counters like the BSP engine does: summed over ranks, identical on
+    // every rank.  Their values vary with message order, so none is pinned.
+    EXPECT_GT(run.kernel.probes, 0u);
+    EXPECT_GT(run.kernel.matches, 0u);
+    for (const std::uint64_t v : {run.kernel.probes, run.kernel.matches}) {
+      EXPECT_EQ(comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kMax),
+                comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kMin));
+    }
   });
 }
 

@@ -325,9 +325,10 @@ TEST(BTree, CursorPositionRestoreReplaysRange) {
 }
 
 TEST(BTree, SortedSeeksCostFewerComparisonsThanFreshScans) {
-  // The counter-based version of the bench/probe_kernel verdict: the same
-  // ascending probe set through one monotone cursor must cost strictly
-  // fewer key comparisons than per-probe fresh descents.
+  // The cursor-versus-fresh-descent claim behind core::LocalJoin's one
+  // monotone cursor per pass: the same ascending probe set through one
+  // cursor must cost strictly fewer key comparisons than per-probe fresh
+  // descents.
   TupleBTree t(2, 1);
   for (value_t v = 0; v < 20000; ++v) t.insert(Tuple{mix64(v) % 30000, v});
 

@@ -427,15 +427,6 @@ void expect_identical_across_modes(RunOne run_one) {
     EXPECT_EQ(rows, ref) << "overlap algo="
                          << (algo == ExchangeAlgorithm::kBruck ? "bruck" : "dense");
   }
-  // The probe kernel is a pure speed knob (§6.1: router staging is
-  // order-insensitive), so the arrival-order kernel must reproduce the
-  // sorted-batch fixpoint bit for bit.
-  for (const bool fuse : {true, false}) {
-    auto t = tuned(fuse, ExchangeAlgorithm::kDense);
-    t.engine.probe_kernel = ProbeKernel::kUnsorted;
-    const auto rows = run_one(t);
-    EXPECT_EQ(rows, ref) << "probe_kernel=unsorted fuse=" << fuse;
-  }
 }
 
 TEST(ExchangeFusion, SsspIdenticalAcrossModesAndMatchesOracle) {

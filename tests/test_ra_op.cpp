@@ -1,10 +1,16 @@
 // RA kernels: distributed binary join (intra-bucket replication, local
-// join, all-to-all) and copy/project, plus rule validation.
+// join, all-to-all) and copy/project, plus rule validation; and the
+// rank-local join kernel (core::LocalJoin) against a nested-loop reference.
 
 #include "core/ra_op.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
+#include "core/local_join.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace paralagg::core {
@@ -481,6 +487,202 @@ TEST(ExecuteJoin, PhaseBytesAttributedToIntraBucketAndAllToAll) {
     const auto intra = comm.allreduce<std::uint64_t>(
         rec.bytes[static_cast<std::size_t>(Phase::kIntraBucket)], vmpi::ReduceOp::kSum);
     EXPECT_EQ(intra, 0u);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// LocalJoin: the one rank-local kernel, checked against a nested-loop join
+// ---------------------------------------------------------------------------
+
+/// `n` random rows of `arity` columns; the join key (column 0) is drawn
+/// from [0, keys) so keys repeat, the rest from [0, 64).
+std::vector<value_t> random_rows(std::mt19937_64& rng, std::size_t n, std::size_t arity,
+                                 value_t keys) {
+  std::vector<value_t> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    rows.push_back(rng() % keys);
+    for (std::size_t c = 1; c < arity; ++c) rows.push_back(rng() % 64);
+  }
+  return rows;
+}
+
+std::vector<Tuple> as_sorted_tuples(std::span<const value_t> flat, std::size_t arity) {
+  std::vector<Tuple> out;
+  for (std::size_t off = 0; off < flat.size(); off += arity) {
+    out.emplace_back(flat.subspan(off, arity));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Nested-loop reference: every probe row against every inner row, with the
+/// rule's join-key equality, filter, antijoin absence test and head.
+std::vector<Tuple> nested_loop_join(const JoinRule& rule, bool probe_is_a,
+                                    const storage::TupleBTree& inner,
+                                    std::span<const value_t> probes, std::size_t arity) {
+  std::vector<value_t> inner_rows;
+  inner.for_each([&](std::span<const value_t> r) {
+    inner_rows.insert(inner_rows.end(), r.begin(), r.end());
+  });
+  const std::size_t jcc = rule.a->jcc();
+  std::vector<value_t> out;
+  const auto emit = [&](std::span<const value_t> a, std::span<const value_t> b) {
+    for (const auto& e : rule.out.cols) out.push_back(e.eval(a, b));
+  };
+  for (std::size_t off = 0; off < probes.size(); off += arity) {
+    const auto p = probes.subspan(off, arity);
+    if (rule.pre_filter && rule.pre_filter->eval(p, {}) == 0) continue;
+    bool any = false;
+    for (std::size_t q = 0; q < inner_rows.size(); q += inner.arity()) {
+      const auto i = std::span<const value_t>(inner_rows).subspan(q, inner.arity());
+      if (!std::equal(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(jcc), i.begin())) {
+        continue;
+      }
+      const auto a = probe_is_a ? p : i;
+      const auto b = probe_is_a ? i : p;
+      if (rule.filter && rule.filter->eval(a, b) == 0) continue;
+      any = true;
+      if (!rule.anti) emit(a, b);
+    }
+    if (rule.anti && !any) emit(p, {});
+  }
+  return as_sorted_tuples(out, rule.out.target->arity());
+}
+
+/// One kernel pass over `probes`; the emitted multiset, sorted.
+std::vector<Tuple> kernel_join(LocalJoin& join, std::span<const value_t> probes,
+                               std::size_t arity, std::size_t head_arity) {
+  std::vector<value_t> out;
+  join.probe_all(probes, arity, [&](std::span<const value_t> head) {
+    out.insert(out.end(), head.begin(), head.end());
+  });
+  return as_sorted_tuples(out, head_arity);
+}
+
+/// Distinct join keys (column 0) among the probe rows the rule considers.
+std::size_t distinct_keys(const JoinRule& rule, std::span<const value_t> probes,
+                          std::size_t arity) {
+  std::set<value_t> keys;
+  for (std::size_t off = 0; off < probes.size(); off += arity) {
+    const auto p = probes.subspan(off, arity);
+    if (rule.pre_filter && rule.pre_filter->eval(p, {}) == 0) continue;
+    keys.insert(p[0]);
+  }
+  return keys.size();
+}
+
+/// Probe `rule` with seeded random rows, unsorted and pre-sorted: the
+/// emitted multiset equals the nested-loop join's both ways, and on sorted
+/// input the kernel seeks exactly once per distinct key it reached.
+void expect_kernel_matches_reference(const JoinRule& rule, bool probe_is_a) {
+  const Relation& probe_rel = probe_is_a ? *rule.a : *rule.b;
+  const Relation& inner_rel = probe_is_a ? *rule.b : *rule.a;
+  const std::size_t arity = probe_rel.arity();
+  const std::size_t head_arity = rule.out.target->arity();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::mt19937_64 rng(seed);
+    auto probes = random_rows(rng, 300, arity, /*keys=*/16);
+    const auto& inner = inner_rel.tree(Version::kFull);
+    const auto want = nested_loop_join(rule, probe_is_a, inner, probes, arity);
+    ASSERT_FALSE(want.empty()) << "seed " << seed;
+
+    LocalJoin unsorted(rule, inner, probe_is_a);
+    EXPECT_EQ(kernel_join(unsorted, probes, arity, head_arity), want) << "seed " << seed;
+    EXPECT_EQ(unsorted.counts().probes, probes.size() / arity);
+    EXPECT_EQ(unsorted.counts().matches, want.size());
+
+    storage::sort_rows(probes, arity, rule.a->jcc());
+    LocalJoin sorted(rule, inner, probe_is_a);
+    EXPECT_EQ(kernel_join(sorted, probes, arity, head_arity), want) << "seed " << seed;
+    EXPECT_EQ(sorted.counts().matches, want.size());
+    EXPECT_EQ(sorted.counts().probe_seeks, distinct_keys(rule, probes, arity))
+        << "seed " << seed;
+  }
+}
+
+/// Sides A (k, x) and B (k, y, z) with duplicate join keys; B's keys cover
+/// only part of the probe key range, so some probes find nothing.
+template <typename Body>
+void with_kernel_sides(Body body) {
+  vmpi::run(1, [&](vmpi::Comm& comm) {
+    Relation a(comm, {.name = "a", .arity = 2, .jcc = 1});
+    Relation b(comm, {.name = "b", .arity = 3, .jcc = 1});
+    Relation out(comm, {.name = "out", .arity = 2, .jcc = 1});
+    std::mt19937_64 rng(99);
+    const auto load = [](Relation& r, const std::vector<value_t>& flat) {
+      std::vector<Tuple> facts;
+      for (std::size_t off = 0; off < flat.size(); off += r.arity()) {
+        facts.emplace_back(std::span<const value_t>(flat).subspan(off, r.arity()));
+      }
+      r.load_facts(facts);
+    };
+    load(a, random_rows(rng, 200, 2, /*keys=*/12));
+    load(b, random_rows(rng, 200, 3, /*keys=*/12));
+    body(a, b, out);
+  });
+}
+
+TEST(LocalJoin, MatchesNestedLoopProbingFromEitherSide) {
+  with_kernel_sides([](Relation& a, Relation& b, Relation& out) {
+    // Head and filter both read both sides.
+    const JoinRule rule{
+        .a = &a,
+        .a_version = Version::kFull,
+        .b = &b,
+        .b_version = Version::kFull,
+        .out = {.target = &out,
+                .cols = {Expr::col_b(1), Expr::add(Expr::col_a(1), Expr::col_b(2))}},
+        .filter = Expr::less(Expr::col_a(1), Expr::col_b(2)),
+    };
+    expect_kernel_matches_reference(rule, /*probe_is_a=*/true);
+    expect_kernel_matches_reference(rule, /*probe_is_a=*/false);
+    // And with no filter: every key-equal pair is emitted.
+    JoinRule plain = rule;
+    plain.filter.reset();
+    expect_kernel_matches_reference(plain, /*probe_is_a=*/true);
+    expect_kernel_matches_reference(plain, /*probe_is_a=*/false);
+  });
+}
+
+TEST(LocalJoin, AntijoinMatchesNestedLoopWithPreFilterAndFilter) {
+  with_kernel_sides([](Relation& a, Relation& b, Relation& out) {
+    const JoinRule rule{
+        .a = &a,
+        .a_version = Version::kFull,
+        .b = &b,
+        .b_version = Version::kFull,
+        .out = {.target = &out, .cols = {Expr::col_a(1), Expr::col_a(0)}},
+        // A b-row blocks only when its y exceeds the a-row's x.
+        .filter = Expr::less(Expr::col_a(1), Expr::col_b(1)),
+        .pre_filter = Expr::less(Expr::col_a(1), Expr::constant(40)),
+        .anti = true,
+    };
+    expect_kernel_matches_reference(rule, /*probe_is_a=*/true);
+    JoinRule bare = rule;
+    bare.filter.reset();
+    bare.pre_filter.reset();
+    expect_kernel_matches_reference(bare, /*probe_is_a=*/true);
+  });
+}
+
+TEST(LocalJoin, AntijoinRunRejectedByPreFilterNeverSeeks) {
+  with_kernel_sides([](Relation& a, Relation& b, Relation& out) {
+    const JoinRule rule{
+        .a = &a,
+        .a_version = Version::kFull,
+        .b = &b,
+        .b_version = Version::kFull,
+        .out = {.target = &out, .cols = {Expr::col_a(1), Expr::col_a(0)}},
+        .pre_filter = Expr::less(Expr::col_a(1), Expr::constant(40)),
+        .anti = true,
+    };
+    // Key 3 occurs in b; every probe row of its run fails the pre-filter.
+    const std::vector<value_t> probes = {3, 40, 3, 41, 3, 63};
+    LocalJoin join(rule, b.tree(Version::kFull), /*probe_is_a=*/true);
+    EXPECT_TRUE(kernel_join(join, probes, 2, 2).empty());
+    EXPECT_EQ(join.counts().probes, 3u);
+    EXPECT_EQ(join.counts().probe_seeks, 0u);
+    EXPECT_EQ(join.counts().matches, 0u);
   });
 }
 
