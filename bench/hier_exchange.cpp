@@ -8,7 +8,8 @@
 //   dense-linear — flat matrix alltoallv, O(n)-step slot collectives
 //   dense-rd     — flat matrix alltoallv, recursive-doubling collectives
 //   hier-rd      — two-level exchange (node aggregators pre-merge MIN
-//                  deltas, leaders-only ialltoallv, intra-node scatter)
+//                  deltas, leaders-only mailbox alltoallv, intra-node
+//                  scatter)
 //
 // All three run under the SAME node grouping, so the cross-node byte split
 // is apples to apples; only the routing and the schedule differ.  Metrics

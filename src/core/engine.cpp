@@ -96,23 +96,9 @@ std::vector<Relation*> Engine::skew_candidates(const Stratum& stratum) const {
 }
 
 void Engine::run_rules(const std::vector<Rule>& rules, ExchangeRouter& router) {
-  if (cfg_.overlap_flush) {
-    // Split-phase pipeline: rule k's exchange is in flight while rule k+1
-    // runs its plan vote, intra-bucket shuffle, and local join.  Completing
-    // lazily — right before the next post — maximizes the window; the join
-    // is safe to run under an in-flight exchange because it only reads
-    // materialized indices, and staging areas absorb frames in any order.
-    for (const auto& rule : rules) {
-      execute_rule(rule, router);
-      if (router.in_flight()) router.complete(profile_);
-      router.post(profile_, cfg_.exchange);
-    }
-    if (router.in_flight()) router.complete(profile_);
-    return;
-  }
   for (const auto& rule : rules) {
     execute_rule(rule, router);
-    // Legacy schedule: every rule pays its own collective exchange.
+    // Per-rule schedule (the RQ1 baseline): every rule pays its own exchange.
     if (!cfg_.fuse_exchanges) router.flush(profile_, cfg_.exchange);
   }
   // Fused schedule: one flush carries every rule's outputs.

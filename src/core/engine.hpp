@@ -13,14 +13,8 @@
 //
 // With `fuse_exchanges` off the router is flushed after every rule,
 // reproducing the legacy one-exchange-per-rule schedule (2R collective
-// rounds per iteration for R join rules, vs R+1 fused).
-//
-// With `overlap_flush` on the per-rule exchange comes back — but split
-// into a nonblocking post and a deferred complete, so rule k's exchange
-// is in flight while rule k+1 runs its join locally.  Same round count
-// as the legacy schedule, but the tuple-exchange latency is hidden
-// behind the next rule's compute (Phase::kOverlapWait records whatever
-// the pipeline failed to hide).
+// rounds per iteration for R join rules, vs R+1 fused).  These are the
+// only two schedules: every flush is one blocking router exchange.
 //
 // The engine is configurable into the paper's *baseline* mode (no
 // balancing, fixed join order, unfused exchanges) for the RQ1 comparison.
@@ -57,18 +51,9 @@ struct EngineConfig {
 
   /// Collapse the per-rule all-to-all of generated tuples into a single
   /// router flush per iteration (R+1 collective rounds instead of 2R for
-  /// R join rules).  Off = flush after every rule, the legacy schedule.
+  /// R join rules).  Off = flush after every rule, the legacy schedule
+  /// kept for baseline_config() (the RQ1 / Fig. 2 baseline).
   bool fuse_exchanges = true;
-
-  /// Split-phase per-rule exchanges: each rule posts its output exchange
-  /// nonblocking and the next rule's local join runs while it is in
-  /// flight; the post is completed lazily before that rule's own post
-  /// (and the last one before the fused dedup/aggregation pass).  Takes
-  /// precedence over `fuse_exchanges`: the schedule pays 2R collective
-  /// rounds like the legacy one, but hides the exchange latency instead
-  /// of avoiding the rounds.  Under kBruck the relay rounds cannot be
-  /// split, so the posts degrade to eager (blocking) exchanges.
-  bool overlap_flush = false;
 
   /// Sender-side pre-aggregation in the router: collapse buffered rows
   /// with equal independent columns through the target's lattice join
@@ -186,13 +171,12 @@ class Engine {
  private:
   /// Execute one rule (join or copy) into `router`, honouring the engine's
   /// join-order override.  Pure local-emit: the exchange schedule (fused /
-  /// per-rule / split-phase) is run_rules' business.
+  /// per-rule) is run_rules' business.
   RuleExecStats execute_rule(const Rule& rule, ExchangeRouter& router);
 
   /// Execute a rule list under the configured exchange schedule: one fused
-  /// flush after all rules, one blocking flush per rule (legacy), or the
-  /// split-phase pipeline (post after each rule, complete lazily).  On
-  /// return every emitted row is staged and no exchange is in flight.
+  /// flush after all rules, or one flush per rule (legacy).  On return
+  /// every emitted row is staged.
   void run_rules(const std::vector<Rule>& rules, ExchangeRouter& router);
 
   /// Distinct relations targeted by a rule list, in first-use order.

@@ -26,7 +26,7 @@ std::uint32_t ExchangeRouter::add_target(Relation* rel) {
     if (targets_[i] == rel) return static_cast<std::uint32_t>(i);
   }
   targets_.push_back(rel);
-  for (auto* runs : {&outgoing_[0], &outgoing_[1], &node_runs_}) {
+  for (auto* runs : {&outgoing_, &node_runs_}) {
     for (int d = 0; d < comm_->size(); ++d) {
       runs->emplace_back(rel->arity(), rel->indep_arity(), rel->config().aggregator.get(),
                          preaggregate_);
@@ -117,34 +117,14 @@ void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlus
 }
 
 RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm algo) {
-  assert(!inflight_.active && "flush while a split-phase exchange is in flight");
-  if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
-    // The two-level path is written split-phase; a blocking flush is just
-    // the degenerate composition with nothing overlapped.
-    post(profile, algo);
-    return complete(profile);
-  }
   RouterFlushStats st = take_emit_stats();
   std::vector<vmpi::Bytes> received;
-  {
-    PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    auto send = pack(st);
-    profile.add_work(Phase::kAllToAll, st.rows_sent);
-    received = exchange_alltoallv(*comm_, std::move(send), algo);
-  }
-  recycle(outgoing_[cur_gen_]);  // the blocking exchange copied everything out already
-  decode(received, st, profile);
-  return st;
-}
-
-void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
-  assert(!inflight_.active && "at most one exchange in flight per router");
-  inflight_.stats = take_emit_stats();
-  {
-    PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
-      inflight_.hier = true;
-      inflight_.hier_seq = hier_seq_++;
+  if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
+    const vmpi::Topology& topo = comm_->topology();
+    const std::uint64_t seq = hier_seq_++;
+    std::vector<int> leaders;
+    {
+      PhaseScope scope(*comm_, profile, Phase::kAllToAll);
       {
         // Leader election by load: the member with the most staged delta
         // bytes aggregates, so the node's heaviest buffer never crosses
@@ -152,82 +132,52 @@ void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
         // allgather runs unaccounted (StatsPause) like the schedule
         // bookkeeping, keeping byte totals election-invariant.
         std::uint64_t my_load = 0;
-        for (const auto& run : outgoing_[cur_gen_]) {
-          my_load += run.values().size() * sizeof(value_t);
-        }
+        for (const auto& run : outgoing_) my_load += run.values().size() * sizeof(value_t);
         vmpi::StatsPause pause(*comm_);
-        const auto loads = comm_->allgather<std::uint64_t>(my_load);
-        inflight_.leaders = comm_->topology().elect_leaders(loads);
+        leaders = topo.elect_leaders(comm_->allgather<std::uint64_t>(my_load));
       }
-      inflight_.stats.elected_leader =
-          inflight_.leaders[static_cast<std::size_t>(
-              comm_->topology().node_of(comm_->rank()))];
-      auto send = pack_hier(inflight_.stats);
-      profile.add_work(Phase::kAllToAll, inflight_.stats.rows_sent);
-      inflight_.ticket = comm_->ialltoallv(std::move(send));
-      inflight_.eager = false;
+      st.elected_leader = leaders[static_cast<std::size_t>(topo.node_of(comm_->rank()))];
+      auto send = pack_hier(st, leaders, seq);
+      profile.add_work(Phase::kAllToAll, st.rows_sent);
+      received = comm_->alltoallv_mailbox(std::move(send));
       // Gather and scatter legs on top of the leaders' exchange (which
       // records its own step); recorded on every rank so per-rank step
       // counts stay uniform, as for the scheduled collectives' rounds.
       comm_->account_steps(vmpi::Op::kAlltoallv, 2);
-    } else {
-      inflight_.hier = false;
-      auto send = pack(inflight_.stats);
-      profile.add_work(Phase::kAllToAll, inflight_.stats.rows_sent);
-      if (algo == ExchangeAlgorithm::kBruck) {
-        // The relay rounds block; split-phase degrades to an eager exchange.
-        inflight_.received = comm_->alltoallv_bruck(std::move(send));
-        inflight_.eager = true;
-      } else {
-        inflight_.ticket = comm_->ialltoallv(std::move(send));
-        inflight_.eager = false;
-      }
     }
+    recycle(outgoing_);
+    absorb_hier(received, st, profile, leaders, seq);
+    return st;
   }
-  inflight_.gen = cur_gen_;  // frozen until complete() (send-buffer stability)
-  cur_gen_ ^= 1;             // emits now fill the other generation
-  inflight_.active = true;
-}
-
-RouterFlushStats ExchangeRouter::complete(RankProfile& profile) {
-  assert(inflight_.active && "complete without a posted exchange");
-  std::vector<vmpi::Bytes> received;
-  if (inflight_.eager) {
-    received = std::move(inflight_.received);
-  } else {
-    // Whatever latency the pipelined schedule failed to hide is exposed
-    // here — kOverlapWait, not kAllToAll, so the figures can separate
-    // hidden from exposed exchange time.
-    PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
-    received = comm_->wait(inflight_.ticket);
+  {
+    PhaseScope scope(*comm_, profile, Phase::kAllToAll);
+    auto send = pack(st);
+    profile.add_work(Phase::kAllToAll, st.rows_sent);
+    received = exchange_alltoallv(*comm_, std::move(send), algo);
   }
-  recycle(outgoing_[inflight_.gen]);
-  inflight_.active = false;
-  RouterFlushStats st = inflight_.stats;
-  if (inflight_.hier) {
-    inflight_.hier = false;
-    absorb_hier(received, st, profile);
-  } else {
-    decode(received, st, profile);
-  }
+  recycle(outgoing_);  // the blocking exchange copied everything out already
+  decode(received, st, profile);
   return st;
 }
 
-std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
+std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st,
+                                                   const std::vector<int>& leaders,
+                                                   std::uint64_t seq) {
   const int n = comm_->size();
   const auto nsz = static_cast<std::size_t>(n);
   const std::size_t nt = targets_.size();
   const int me = comm_->rank();
   const vmpi::Topology& topo = comm_->topology();
-  const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int up_tag = kHierUpTagBase + static_cast<int>(inflight_.hier_seq % kHierTagWindow);
+  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
+  const int up_tag = kHierUpTagBase + static_cast<int>(seq % kHierTagWindow);
 
   std::vector<vmpi::Bytes> send(nsz);
 
   if (me != leader) {
     // Member: ship every bucket to the node aggregator as one frame whose
     // routes name (final destination, target), then return the all-empty
-    // send vector — posting it keeps the leaders-only exchange collective.
+    // send vector — exchanging it keeps the leaders-only exchange
+    // collective.
     vmpi::RowFrameWriter w;
     for (std::size_t d = 0; d < nsz; ++d) {
       for (std::size_t id = 0; id < nt; ++id) {
@@ -252,9 +202,9 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   }
 
   // Leader: fold own buckets and every member frame together per (target,
-  // final dst).  The buckets swap into the node runs, so recycle() still
-  // sees the frozen generation (now holding the node runs' empty buffers).
-  std::swap(node_runs_, outgoing_[cur_gen_]);
+  // final dst).  The buckets swap into the node runs, so flush()'s
+  // recycle() sees the node runs' emptied buffers.
+  std::swap(node_runs_, outgoing_);
   {
     vmpi::StatsPause pause(*comm_);
     const auto arity_of_route = [&](std::uint64_t route) { return arity_of(route % nt); };
@@ -277,7 +227,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   // peer leader can scatter.  Folding each node run here collapses rows
   // different members generated for the same key before they cross nodes
   // — the volume reduction the two-level exchange buys.
-  for (const int peer : inflight_.leaders) {
+  for (const int peer : leaders) {
     vmpi::RowFrameWriter w;
     const int peer_base = topo.node_base(peer);
     for (const int d : topo.node_members(peer, n)) {
@@ -298,20 +248,21 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
 }
 
 void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
-                                 RouterFlushStats& st, RankProfile& profile) {
+                                 RouterFlushStats& st, RankProfile& profile,
+                                 const std::vector<int>& leaders, std::uint64_t seq) {
   const int n = comm_->size();
   const int me = comm_->rank();
   const std::size_t nt = targets_.size();
   const vmpi::Topology& topo = comm_->topology();
-  const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int down_tag = kHierDownTagBase + static_cast<int>(inflight_.hier_seq % kHierTagWindow);
+  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
+  const int down_tag = kHierDownTagBase + static_cast<int>(seq % kHierTagWindow);
 
   if (me != leader) {
     // Member: the leaders' exchange delivered only empties here; the node
     // rows arrive as one scatter frame routed by target.
     vmpi::Bytes buf;
     {
-      PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
+      PhaseScope scope(*comm_, profile, Phase::kAllToAll);
       vmpi::StatsPause pause(*comm_);
       buf = comm_->recv(leader, down_tag);
     }

@@ -10,6 +10,8 @@
 // buckets owned by the router, and the engine flushes the
 // router once per iteration with a single tagged alltoallv — collapsing
 // ~2R exchanges to R+1 (the R intra-bucket exchanges remain per join).
+// Every flush is one blocking exchange; the RQ1 baseline
+// (EngineConfig::fuse_exchanges off) flushes after every rule instead.
 //
 // Because the router is the single choke point for generated tuples, two
 // further communication-avoidance moves become trivial here:
@@ -33,7 +35,6 @@
 // frame reader owns every decode check.  Empty buffers stay zero bytes on
 // the wire.
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -53,7 +54,7 @@ enum class ExchangeAlgorithm : std::uint8_t {
   /// elected per flush by staged delta bytes (vmpi::Topology::
   /// elect_leaders; ties to the lowest rank) so the heaviest member merges
   /// in place — pre-merges the node's buffered deltas through the
-  /// bucket fold, a leaders-only ialltoallv carries the merged
+  /// bucket fold, a leaders-only mailbox alltoallv carries the merged
   /// frames across nodes, and each leader scatters the arrivals
   /// intra-node.  3 steps instead of 1, but the
   /// cross-node volume shrinks by whatever the node-level MIN/MAX merge
@@ -115,36 +116,12 @@ class ExchangeRouter {
   /// Rows currently buffered for remote ranks on this rank, after folds.
   [[nodiscard]] std::uint64_t pending_rows() const { return pending_rows_; }
 
-  /// One collective exchange carrying every buffered row, decoded straight
-  /// into the target relations' staging areas (bulk, with pre-reserve).
-  /// Collective: every rank must call flush the same number of times, even
-  /// with nothing buffered.
+  /// One blocking collective exchange carrying every buffered row, decoded
+  /// straight into the target relations' staging areas (bulk, with
+  /// pre-reserve).  The router's only exchange entry point.  Collective:
+  /// every rank must call flush the same number of times, even with
+  /// nothing buffered.
   RouterFlushStats flush(RankProfile& profile, ExchangeAlgorithm algo);
-
-  // -- split-phase flush ------------------------------------------------------
-  //
-  // post() serializes the rows buffered so far and launches the exchange
-  // nonblocking (vmpi::Comm::ialltoallv); complete() blocks for whatever
-  // latency the caller failed to hide (Phase::kOverlapWait) and stages the
-  // received frames.  Between the two, emit() keeps working: rows land in
-  // the *other* generation of per-destination buckets (double-buffered
-  // staging, mirroring MPI's send-buffer-stability rule), so the frozen
-  // in-flight buffers are never touched.  At most one exchange may be in
-  // flight per router; both calls are collective in SPMD order.
-  //
-  // Under kBruck the log-n relay rounds are inherently blocking, so post()
-  // degrades to an eager exchange and complete() only decodes — the same
-  // state machine with no latency hidden.
-
-  /// Launch the exchange for everything buffered; nonblocking under kDense.
-  void post(RankProfile& profile, ExchangeAlgorithm algo);
-
-  /// Absorb the in-flight exchange posted last: waits (if needed), stages
-  /// every received frame, and recycles the frozen buffers.
-  RouterFlushStats complete(RankProfile& profile);
-
-  /// True between a post() and the matching complete().
-  [[nodiscard]] bool in_flight() const { return inflight_.active; }
 
  private:
   /// recycle() returns a bucket's memory only above this capacity (in
@@ -163,16 +140,15 @@ class ExchangeRouter {
   static constexpr std::uint64_t kHierTagWindow = 4096;
 
   [[nodiscard]] FoldRun& bucket(std::size_t route_id, std::size_t dest) {
-    return outgoing_[cur_gen_][route_id * static_cast<std::size_t>(comm_->size()) + dest];
+    return outgoing_[route_id * static_cast<std::size_t>(comm_->size()) + dest];
   }
   [[nodiscard]] std::size_t arity_of(std::uint64_t route_id) const {
     return targets_[route_id]->arity();
   }
   /// Start a flush's stats from the emit-side counters, resetting them.
   RouterFlushStats take_emit_stats();
-  /// Fold and encode the current generation into per-destination frames.
-  /// Buckets are left intact — frozen — for the caller to recycle() once
-  /// the exchange no longer needs them.
+  /// Fold and encode every bucket into per-destination frames.  The
+  /// frames copy the rows out, so the caller recycle()s the buckets.
   std::vector<vmpi::Bytes> pack(RouterFlushStats& st);
   /// Stage every section of one [route | count | rows] frame.
   void stage_frame(std::span<const std::byte> frame, RouterFlushStats& st);
@@ -182,54 +158,35 @@ class ExchangeRouter {
 
   // -- hierarchical (two-level) exchange --------------------------------------
   //
-  // post side: members fold their buckets and send them as one row frame
-  // (faultable isend) to their node leader, with route dst * targets +
-  // target; the leader folds its own buckets and the arrivals together per
-  // (dst, target) — the node-level pre-aggregation — encodes one frame per
-  // destination *node* (route = member index * targets + target), and
-  // every rank posts the leaders-only ialltoallv (non-leaders all-empty,
-  // which keeps the call collective and the split-phase overlap intact).
-  // complete side: leaders decode per final destination, stage their own
-  // rows, and scatter one frame per member; members recv + stage.
-  // Leg bytes are attributed to Op::kAlltoallv with intra-node locality;
-  // the leaders' exchange records its own cross-node bytes.
+  // flush() elects one leader per node, then pack_hier: members fold their
+  // buckets and send them as one row frame (faultable isend) to their node
+  // leader, with route dst * targets + target; the leader folds its own
+  // buckets and the arrivals together per (dst, target) — the node-level
+  // pre-aggregation — and encodes one frame per destination *node* (route
+  // = member index * targets + target).  Every rank then joins the
+  // leaders-only mailbox alltoallv (non-leaders all-empty, which keeps the
+  // call collective), and absorb_hier: leaders decode per final
+  // destination, stage their own rows, and scatter one frame per member;
+  // members recv + stage.  Leg bytes are attributed to Op::kAlltoallv with
+  // intra-node locality; the leaders' exchange records its own cross-node
+  // bytes.  `leaders` is the node-indexed election, `seq` the flush's tag
+  // rotation.
 
   /// Up-gather + node merge + leaders-only send vector.  Returns the
-  /// buffers to post (empty everywhere for non-leader ranks).
-  std::vector<vmpi::Bytes> pack_hier(RouterFlushStats& st);
+  /// buffers to exchange (empty everywhere for non-leader ranks).
+  std::vector<vmpi::Bytes> pack_hier(RouterFlushStats& st, const std::vector<int>& leaders,
+                                     std::uint64_t seq);
   /// Decode the leaders' exchange, scatter intra-node, stage everything.
   void absorb_hier(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
-                   RankProfile& profile);
-
-  /// One split-phase exchange in flight: the ticket (or, under kBruck, the
-  /// eagerly exchanged buffers), the generation it froze, and the send-side
-  /// stats carried from post() to complete().
-  struct InFlight {
-    bool active = false;
-    bool eager = false;
-    bool hier = false;         // absorb via absorb_hier instead of decode
-    std::uint64_t hier_seq = 0;
-    std::size_t gen = 0;
-    vmpi::Comm::Ticket ticket;
-    std::vector<vmpi::Bytes> received;
-    RouterFlushStats stats;
-    /// Elected leader per node for this flush, node-indexed.  Stored here
-    /// so the pack (post) and absorb (complete) sides agree even when
-    /// emits refill the other generation in between.
-    std::vector<int> leaders;
-  };
+                   RankProfile& profile, const std::vector<int>& leaders, std::uint64_t seq);
 
   vmpi::Comm* comm_;
   bool preaggregate_;
   std::vector<Relation*> targets_;
-  // Row buckets, target-major: outgoing_[gen][route_id * nranks + dest].
-  // Two generations: emits fill cur_gen_ while the other may be frozen
-  // under an in-flight exchange.
-  std::array<std::vector<FoldRun>, 2> outgoing_;
+  // Row buckets, target-major: outgoing_[route_id * nranks + dest].
+  std::vector<FoldRun> outgoing_;
   // The hierarchical leader's per-(target, dest) node merge, same layout.
   std::vector<FoldRun> node_runs_;
-  std::size_t cur_gen_ = 0;
-  InFlight inflight_;
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;

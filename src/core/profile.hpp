@@ -39,7 +39,6 @@ enum class Phase : std::uint8_t {
   kLocalJoin,      // B-tree probing and output construction
   kAllToAll,       // distributing newly generated tuples ("comm" in Fig. 2)
   kDedupAgg,       // fused deduplication / local aggregation
-  kOverlapWait,    // completing an in-flight split-phase exchange (exposed time)
   kOther,          // termination detection, bookkeeping
   kCount,
 };
@@ -54,7 +53,6 @@ constexpr std::string_view phase_name(Phase p) {
     case Phase::kLocalJoin: return "local-join";
     case Phase::kAllToAll: return "all-to-all";
     case Phase::kDedupAgg: return "dedup/agg";
-    case Phase::kOverlapWait: return "overlap-wait";
     case Phase::kOther: return "other";
     case Phase::kCount: break;
   }
@@ -78,8 +76,8 @@ struct IterationRecord {
   std::array<std::uint64_t, kPhaseCount> steps{};
   /// Wall seconds parked in blocking communication during the phase
   /// (CommStats::wait_seconds deltas).  The thread-CPU clock cannot see
-  /// blocked time, so this is the only per-phase window into *exposed*
-  /// exchange latency — what the split-phase flush exists to hide.
+  /// blocked time, so this is the only per-phase window into exposed
+  /// exchange latency.
   std::array<double, kPhaseCount> wait_seconds{};
   /// Reliable-transport healing this iteration (CommStats deltas): frames
   /// retransmitted and wall seconds spent between a frame's first send and
@@ -178,9 +176,8 @@ struct ProfileSummary {
   /// to O(log n).  Same max-guard rationale as total_exchanges.
   std::array<std::uint64_t, kPhaseCount> total_steps{};
   /// Σ over ranks and iterations of wall seconds parked in blocking
-  /// communication per phase.  The "exposed exchange" metric of
-  /// bench/overlap_flush: with the split-phase schedule, the shares of
-  /// kAllToAll and kOverlapWait together must undercut the blocking flush.
+  /// communication per phase — the exposed exchange latency (kAllToAll's
+  /// share is the suite's exchange_router.wait_s row).
   std::array<double, kPhaseCount> total_wait_seconds{};
   /// Σ over ranks and iterations of reliable-transport retransmits / wall
   /// seconds spent healing (time from a damaged frame's first send to its

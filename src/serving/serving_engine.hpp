@@ -223,9 +223,10 @@ class ServingEngine {
   void classify_and_validate();
 
   /// Route `send[dest]` flat rows of `arity` columns and return the
-  /// received rows, flattened.  Rides the faultable split-phase exchange,
-  /// so serving's mutation traffic is checked and healed by the reliable
-  /// transport (with the retry budget off, damage aborts the batch typed).
+  /// received rows, flattened.  Rides the faultable mailbox exchange
+  /// (vmpi::Comm::alltoallv_mailbox), so serving's mutation traffic is
+  /// checked and healed by the reliable transport (with the retry budget
+  /// off, damage aborts the batch typed).
   std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send,
                                      std::size_t arity);
 

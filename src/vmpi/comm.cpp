@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace paralagg::vmpi {
 
@@ -326,7 +327,7 @@ bool Comm::fault_reset(double timeout_seconds) {
   // below guarantees every rank does this before any new traffic.  The
   // epoch counter is deliberately NOT reset: one-shot epoch faults
   // (kill/stall) must not re-fire on the replayed work.
-  ialltoallv_seq_ = 0;
+  mailbox_seq_ = 0;
   bruck_seq_ = 0;
   sched_seq_ = 0;
   return world_->fault_reset(timeout_seconds);
@@ -390,8 +391,8 @@ Bytes Comm::recv_reliable(int src, int tag, int* out_src, int* out_tag) {
   // slicing the wait.  The watchdog is re-armed on every healing round
   // that makes progress — a cumulative ack advancing or a fresh frame
   // landing — so a wait that is slow *because it is healing* does not
-  // time out, while a genuinely dead peer still does.  Ticket::wait rides
-  // this path too, so ialltoallv waits get the same per-round re-arm.
+  // time out, while a genuinely dead peer still does.  alltoallv_mailbox
+  // receives ride this path too, so its waits get the same per-round re-arm.
   auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
   const double deadline = world_->watchdog_seconds_;
   const double t0 = wall_now();
@@ -694,10 +695,10 @@ std::vector<Bytes> Comm::alltoallv(std::vector<Bytes> send) {
   return got;
 }
 
-Comm::Ticket Comm::ialltoallv(std::vector<Bytes> send) {
+std::vector<Bytes> Comm::alltoallv_mailbox(std::vector<Bytes> send) {
   const auto n = static_cast<std::size_t>(size());
   const auto me = static_cast<std::size_t>(rank_);
-  assert(send.size() == n && "ialltoallv send vector must have one buffer per rank");
+  assert(send.size() == n && "alltoallv_mailbox send vector must have one buffer per rank");
   if (stats_enabled_) {
     auto& st = stats();
     st.record_call(Op::kAlltoallv);
@@ -707,74 +708,35 @@ Comm::Ticket Comm::ialltoallv(std::vector<Bytes> send) {
                      remote && !world_->topo_.same_node(rank_, static_cast<int>(d)));
     }
     st.record_steps(Op::kAlltoallv, 1);
-    st.tickets_posted += 1;
   }
 
-  Ticket t;
-  t.active_ = true;
-  t.tag_ = kIalltoallvTagBase + static_cast<int>(ialltoallv_seq_++ % kIalltoallvTagWindow);
-  t.received_.resize(n);
-  t.arrived_.assign(n, 0);
-  t.received_[me] = std::move(send[me]);
-  t.arrived_[me] = 1;
-  t.remaining_ = n - 1;
-
-  // The frames ride the mailboxes; their bytes are already accounted under
-  // Op::kAlltoallv above, so the internal p2p must not double-count.
-  StatsPause pause(*this);
-  for (std::size_t d = 0; d < n; ++d) {
-    if (d == me) continue;
-    isend(static_cast<int>(d), t.tag_, send[d]);
-  }
-  return t;
-}
-
-void Comm::ticket_deliver(Ticket& ticket, int src, Bytes payload) {
-  auto& slot = ticket.arrived_[static_cast<std::size_t>(src)];
-  if (slot != 0) {
-    throw std::logic_error("vmpi: ialltoallv ticket received a second frame from rank " +
-                           std::to_string(src));
-  }
-  slot = 1;
-  ticket.received_[static_cast<std::size_t>(src)] = std::move(payload);
-  --ticket.remaining_;
-}
-
-std::vector<Bytes> Comm::wait(Ticket& ticket) {
-  if (!ticket.active_) {
-    throw std::logic_error("vmpi: wait() on an inactive ialltoallv ticket "
-                           "(already waited, or never posted)");
-  }
-  const double t0 = wall_now();
+  const int tag = kMailboxTagBase + static_cast<int>(mailbox_seq_++ % kMailboxTagWindow);
+  std::vector<Bytes> got(n);
+  got[me] = std::move(send[me]);
+  double t0 = 0;
   {
+    // The frames' bytes are already accounted under Op::kAlltoallv above,
+    // so the internal p2p must not double-count.
     StatsPause pause(*this);
-    while (ticket.remaining_ > 0) {
+    for (std::size_t d = 0; d < n; ++d) {
+      if (d != me) isend(static_cast<int>(d), tag, send[d]);
+    }
+    t0 = wall_now();
+    std::vector<std::uint8_t> arrived(n, 0);
+    for (std::size_t left = n - 1; left > 0; --left) {
       int src = 0;
-      Bytes payload = recv(kAnySource, ticket.tag_, &src);
-      ticket_deliver(ticket, src, std::move(payload));
+      Bytes payload = recv(kAnySource, tag, &src);
+      // The reliable channel delivers each faultable frame exactly once,
+      // so a second frame from one source is a protocol violation.
+      if (std::exchange(arrived[static_cast<std::size_t>(src)], 1) != 0) {
+        throw std::logic_error("vmpi: alltoallv_mailbox received a second frame from rank " +
+                               std::to_string(src));
+      }
+      got[static_cast<std::size_t>(src)] = std::move(payload);
     }
   }
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.wait_seconds += wall_now() - t0;
-    st.tickets_completed += 1;
-  }
-  ticket.active_ = false;
-  return std::move(ticket.received_);
-}
-
-bool Comm::test(Ticket& ticket) {
-  if (!ticket.active_) {
-    throw std::logic_error("vmpi: test() on an inactive ialltoallv ticket "
-                           "(already waited, or never posted)");
-  }
-  StatsPause pause(*this);
-  while (iprobe(kAnySource, ticket.tag_)) {
-    int src = 0;
-    Bytes payload = recv(kAnySource, ticket.tag_, &src);
-    ticket_deliver(ticket, src, std::move(payload));
-  }
-  return ticket.remaining_ == 0;
+  if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  return got;
 }
 
 std::vector<Bytes> Comm::alltoallv_bruck(std::vector<Bytes> send) {

@@ -254,8 +254,8 @@ class World {
   bool fault_reset(double timeout_seconds);
 
   /// Deadline (seconds) for every blocking wait: barrier / collective
-  /// rendezvous, recv, ticket wait.  0 disables the watchdog (the
-  /// default — fault-free runs must not pay spurious wakeups).
+  /// rendezvous, recv.  0 disables the watchdog (the default — fault-free
+  /// runs must not pay spurious wakeups).
   void set_watchdog(double seconds) { watchdog_seconds_ = seconds; }
   [[nodiscard]] double watchdog_seconds() const { return watchdog_seconds_; }
 
@@ -440,52 +440,17 @@ class Comm {
   /// primitive.
   std::vector<Bytes> alltoallv(std::vector<Bytes> send);
 
-  /// In-flight handle for a nonblocking personalised exchange posted by
-  /// ialltoallv.  Move-only; complete it exactly once via wait() (test()
-  /// may be polled first to make progress without blocking).  wait() or
-  /// test() on a ticket already consumed by wait() — or never posted —
-  /// throws std::logic_error deterministically, in Release builds too.
-  class Ticket {
-   public:
-    Ticket() = default;
-    Ticket(Ticket&&) = default;
-    Ticket& operator=(Ticket&&) = default;
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-    /// True between the posting ialltoallv() and the wait() that consumed it.
-    [[nodiscard]] bool active() const { return active_; }
-
-   private:
-    friend class Comm;
-    bool active_ = false;
-    int tag_ = 0;
-    std::size_t remaining_ = 0;            // peers whose buffer has not arrived
-    std::vector<Bytes> received_;          // indexed by source rank
-    std::vector<std::uint8_t> arrived_;    // per-source arrival flag
-  };
-
-  /// Nonblocking personalised exchange (MPI_Ialltoallv): posts send[d]
-  /// toward rank d and returns immediately.  Collective in posting order —
-  /// every rank's k-th post pairs with every other rank's k-th post — but
-  /// there is no rendezvous: a rank completes its ticket as soon as all
-  /// peers have *posted*, never waiting for them to complete.  This is the
-  /// primitive behind the router's split-phase flush: the caller overlaps
-  /// local work between the post and the wait.  Bytes are accounted under
-  /// Op::kAlltoallv at post time (one exchange round), exactly like the
-  /// blocking variants.
-  Ticket ialltoallv(std::vector<Bytes> send);
-
-  /// Block until every peer's buffer arrived; returns recv[s] indexed by
-  /// source rank (the self-destined buffer included).  Time parked here is
-  /// charged to CommStats::wait_seconds — the *exposed* (un-overlapped)
-  /// share of the exchange.  The ticket becomes inactive.
-  std::vector<Bytes> wait(Ticket& ticket);
-
-  /// Nonblocking progress: absorbs whatever already arrived and returns
-  /// true once the exchange is complete (a subsequent wait() will not
-  /// block).
-  bool test(Ticket& ticket);
+  /// Same contract and accounting as alltoallv (one call, one step, the
+  /// same per-destination bytes under Op::kAlltoallv), but each remote
+  /// buffer travels as one mailbox message: the faultable path, so an
+  /// installed FaultPlan's drops, duplicates, delays and corruption reach
+  /// it and the reliable channel checks and heals every frame (the
+  /// slot-matrix alltoallv models a reliable substrate and bypasses
+  /// both).  Blocks until every peer's buffer arrived — the parked time is
+  /// charged to CommStats::wait_seconds — and returns recv[s] indexed by
+  /// source rank, the self-destined buffer included.  Serving's mutation
+  /// exchange and the hierarchical router's leaders' exchange run on it.
+  std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send);
 
   /// Same contract as alltoallv, routed through ceil(log2 n) point-to-point
   /// rounds (the Bruck algorithm the PARALAGG authors optimise in their
@@ -620,11 +585,6 @@ class Comm {
   /// first.  Internal wake sentinels become TimeoutError here.
   void timed_barrier_wait();
 
-  /// Move one arrived ialltoallv message into its ticket slot.  A second
-  /// arrival from one source is a protocol violation (std::logic_error):
-  /// the reliable channel delivers each faultable frame exactly once.
-  void ticket_deliver(Ticket& ticket, int src, Bytes payload);
-
   /// Enqueue an enveloped reliable-transport frame for `dst` under the
   /// installed FaultPlan: may drop, duplicate, corrupt, or hold the frame
   /// back, and releases held frames whose delay ran out.  All copies of
@@ -647,12 +607,12 @@ class Comm {
   /// healing progress (per retransmit round, not once per call).
   Bytes recv_reliable(int src, int tag, int* out_src, int* out_tag);
 
-  // Dedicated tag space for ialltoallv frames, disjoint from the Bruck
-  // relay (0x42......) and the async engine's tags.  The per-Comm sequence
-  // counter advances in SPMD order, so concurrent in-flight exchanges
-  // cannot cross-match as long as fewer than the window are outstanding.
-  static constexpr int kIalltoallvTagBase = 0x41A20000;
-  static constexpr std::uint64_t kIalltoallvTagWindow = 4096;
+  // Dedicated tag space for alltoallv_mailbox frames, disjoint from the
+  // Bruck relay (0x42......) and the async engine's tags.  Rotated per call
+  // in SPMD order: a fast rank's next exchange may land in a peer's mailbox
+  // while that peer still drains the current one, and must not match it.
+  static constexpr int kMailboxTagBase = 0x41A20000;
+  static constexpr std::uint64_t kMailboxTagWindow = 4096;
 
   // Bruck relay tags rotate with a per-call sequence so a duplicated or
   // delayed relay frame from one call can never match a later call's
@@ -663,7 +623,7 @@ class Comm {
   static constexpr int kBruckRoundsPerCall = 64;  // log2(nranks) bound
 
   // Scheduled-collective relay tags (recursive doubling / swing /
-  // dissemination rounds), disjoint from the ialltoallv (0x41A2....),
+  // dissemination rounds), disjoint from the mailbox alltoallv (0x41A2....),
   // Bruck (0x42......), async (0x51A5..../0x53AF....), and hierarchical
   // router (0x48A.....) spaces.  Rotated per call like the Bruck tags.
   static constexpr int kSchedTagBase = 0x44000000;
@@ -686,7 +646,7 @@ class Comm {
   int rank_;
   bool stats_enabled_ = true;
   std::uint64_t split_epoch_ = 0;
-  std::uint64_t ialltoallv_seq_ = 0;
+  std::uint64_t mailbox_seq_ = 0;
   std::uint64_t bruck_seq_ = 0;
   std::uint64_t sched_seq_ = 0;
   std::uint64_t epoch_ = 0;

@@ -10,7 +10,7 @@
 // schedule is replayable from its seed alone.
 //
 // Scope: only mailbox *messages* sent via isend are faultable (isend/
-// recv/drain, the ialltoallv tickets, the Bruck relay, and the
+// recv/drain, the mailbox alltoallv, the Bruck relay, and the
 // hierarchical router's intra-node legs all ride that path).  The
 // slot/matrix collectives (bcast, gather, dense alltoallv) and the
 // scheduled symmetric collectives (allreduce / allgather on any
@@ -49,11 +49,11 @@ struct FaultError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A blocking wait (barrier, recv, ticket wait, collective rendezvous)
-/// exceeded the watchdog deadline — or was released because a peer's wait
-/// did.  Carries the waiting rank's communication counters at the moment
-/// of the timeout, so a post-mortem can see e.g. tickets posted but never
-/// completed, or wait_seconds dwarfing useful work.
+/// A blocking wait (barrier, recv, collective rendezvous) exceeded the
+/// watchdog deadline — or was released because a peer's wait did.
+/// Carries the waiting rank's communication counters at the moment of the
+/// timeout, so a post-mortem can see e.g. which edge retransmitted, or
+/// wait_seconds dwarfing useful work.
 struct TimeoutError : FaultError {
   TimeoutError(std::string where_, double deadline_seconds_, CommStats snapshot);
 

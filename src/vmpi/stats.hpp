@@ -73,11 +73,6 @@ struct CommStats {
   std::uint64_t messages_sent = 0;      // p2p messages enqueued by isend
   std::uint64_t messages_received = 0;  // p2p messages delivered by recv
   std::uint64_t p2p_bytes_received = 0; // payload bytes delivered by recv
-  /// Split-phase collective bookkeeping: nonblocking exchanges posted via
-  /// ialltoallv and completed via wait/test.  A run must end balanced
-  /// (posted == completed), or an in-flight exchange was leaked.
-  std::uint64_t tickets_posted = 0;
-  std::uint64_t tickets_completed = 0;
   /// Wall seconds this rank spent parked inside blocking primitives
   /// (barriers, collective rendezvous, recv).  For BSP runs this is the
   /// barrier-wait cost skew inflicts; for async runs it is idle drain time.
@@ -186,8 +181,6 @@ struct CommStats {
     messages_sent += other.messages_sent;
     messages_received += other.messages_received;
     p2p_bytes_received += other.p2p_bytes_received;
-    tickets_posted += other.tickets_posted;
-    tickets_completed += other.tickets_completed;
     wait_seconds += other.wait_seconds;
     faults_dropped += other.faults_dropped;
     faults_duplicated += other.faults_duplicated;
@@ -220,8 +213,6 @@ struct CommStats {
     w.put(messages_sent);
     w.put(messages_received);
     w.put(p2p_bytes_received);
-    w.put(tickets_posted);
-    w.put(tickets_completed);
     w.put(wait_seconds);
     w.put(faults_dropped);
     w.put(faults_duplicated);
@@ -254,8 +245,6 @@ struct CommStats {
     s.messages_sent = r.get<std::uint64_t>();
     s.messages_received = r.get<std::uint64_t>();
     s.p2p_bytes_received = r.get<std::uint64_t>();
-    s.tickets_posted = r.get<std::uint64_t>();
-    s.tickets_completed = r.get<std::uint64_t>();
     s.wait_seconds = r.get<double>();
     s.faults_dropped = r.get<std::uint64_t>();
     s.faults_duplicated = r.get<std::uint64_t>();

@@ -214,67 +214,6 @@ TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedPlain) {
 }
 
 // ---------------------------------------------------------------------------
-// Split-phase post/complete
-// ---------------------------------------------------------------------------
-
-TEST(ExchangeRouter, EmitDuringInFlightExchangeRidesTheNextPost) {
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    Relation rel(comm, {.name = "sp", .arity = 3, .jcc = 1});
-    RankProfile profile;
-    ExchangeRouter router(comm, /*preaggregate=*/true);
-    const auto id = router.add_target(&rel);
-    const value_t theirs = key_owned_by(rel, 1 - comm.rank());
-
-    router.emit(id, Tuple{theirs, 1, 1}.view());
-    router.post(profile, ExchangeAlgorithm::kDense);
-    EXPECT_TRUE(router.in_flight());
-
-    // The in-flight generation is frozen; this row lands in the other one
-    // and must ride the NEXT post, untouched by the pending complete.
-    router.emit(id, Tuple{theirs, 2, 2}.view());
-    EXPECT_EQ(router.pending_rows(), 1u);
-
-    const auto st1 = router.complete(profile);
-    EXPECT_FALSE(router.in_flight());
-    EXPECT_EQ(st1.rows_sent, 1u);
-    EXPECT_EQ(st1.rows_staged, 1u);
-    EXPECT_EQ(router.pending_rows(), 1u);
-
-    router.post(profile, ExchangeAlgorithm::kDense);
-    const auto st2 = router.complete(profile);
-    EXPECT_EQ(st2.rows_sent, 1u);
-    EXPECT_EQ(st2.rows_staged, 1u);
-
-    rel.materialize();
-    EXPECT_EQ(rel.global_size(Version::kFull), 4u);
-    EXPECT_EQ(comm.stats().tickets_posted, 2u);
-    EXPECT_EQ(comm.stats().tickets_completed, 2u);
-  });
-}
-
-TEST(ExchangeRouter, SplitPhaseDegradesToEagerUnderBruck) {
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    Relation rel(comm, {.name = "eb", .arity = 3, .jcc = 1});
-    RankProfile profile;
-    ExchangeRouter router(comm, /*preaggregate=*/true);
-    const auto id = router.add_target(&rel);
-    const value_t theirs = key_owned_by(rel, 1 - comm.rank());
-
-    router.emit(id, Tuple{theirs, 3, 4}.view());
-    router.post(profile, ExchangeAlgorithm::kBruck);
-    EXPECT_TRUE(router.in_flight());
-    EXPECT_EQ(comm.stats().tickets_posted, 0u);  // no ticket: the relay blocked
-
-    const auto st = router.complete(profile);
-    EXPECT_EQ(st.rows_sent, 1u);
-    EXPECT_EQ(st.rows_staged, 1u);
-
-    rel.materialize();
-    EXPECT_EQ(rel.global_size(Version::kFull), 2u);
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Collective-round counting: R+1 fused vs 2R legacy
 // ---------------------------------------------------------------------------
 
@@ -318,14 +257,13 @@ struct ThreeRuleTc {
   }
 };
 
-void expect_rounds_per_iteration(bool fused, ExchangeAlgorithm algo, bool overlap = false) {
+void expect_rounds_per_iteration(bool fused, ExchangeAlgorithm algo) {
   vmpi::run(4, [&](vmpi::Comm& comm) {
     ThreeRuleTc f(comm, 10);
     EngineConfig cfg;
     cfg.balance.enabled = false;  // reshuffles would add extra alltoallv calls
     cfg.fuse_exchanges = fused;
     cfg.router_preagg = fused;
-    cfg.overlap_flush = overlap;
     cfg.exchange = algo;
     Engine engine(comm, cfg);
 
@@ -338,23 +276,11 @@ void expect_rounds_per_iteration(bool fused, ExchangeAlgorithm algo, bool overla
     EXPECT_EQ(f.path->global_size(Version::kFull), 45u);
 
     // Loop iterations: R intra-bucket exchanges stay per join; generated
-    // tuples cost one fused flush vs one flush (or split-phase post) per
-    // rule.  The init round (3 copy rules, no intra-bucket exchange) shows
-    // the same collapse.  The split-phase schedule pays the legacy round
-    // count — it hides latency instead of removing rounds.
-    const bool one_flush = fused && !overlap;
-    const std::uint64_t per_iter = one_flush ? 3 + 1 : 3 + 3;  // R+1 vs 2R
-    const std::uint64_t init_rounds = one_flush ? 1 : 3;
+    // tuples cost one fused flush vs one flush per rule.  The init round
+    // (3 copy rules, no intra-bucket exchange) shows the same collapse.
+    const std::uint64_t per_iter = fused ? 3 + 1 : 3 + 3;  // R+1 vs 2R
+    const std::uint64_t init_rounds = fused ? 1 : 3;
     EXPECT_EQ(rounds, init_rounds + per_iter * sr.iterations);
-
-    // Split-phase bookkeeping must balance; under kDense every post is a
-    // real nonblocking ticket, under kBruck the posts degrade to eager.
-    EXPECT_EQ(comm.stats().tickets_posted, comm.stats().tickets_completed);
-    if (overlap && algo == ExchangeAlgorithm::kDense) {
-      EXPECT_EQ(comm.stats().tickets_posted, init_rounds + 3 * sr.iterations);
-    } else {
-      EXPECT_EQ(comm.stats().tickets_posted, 0u);
-    }
 
     // The same reduction must be visible in the cross-rank profile.
     const auto summary = summarize_profiles(comm, engine.rank_profile());
@@ -380,32 +306,22 @@ TEST(ExchangeFusion, RoundCountsHoldUnderBruck) {
   expect_rounds_per_iteration(/*fused=*/false, ExchangeAlgorithm::kBruck);
 }
 
-TEST(ExchangeFusion, OverlapPaysLegacyRoundsButPostsTicketsDense) {
-  expect_rounds_per_iteration(/*fused=*/true, ExchangeAlgorithm::kDense, /*overlap=*/true);
-}
-
-TEST(ExchangeFusion, OverlapRoundCountsHoldUnderBruck) {
-  expect_rounds_per_iteration(/*fused=*/true, ExchangeAlgorithm::kBruck, /*overlap=*/true);
-}
-
 // ---------------------------------------------------------------------------
 // Result identity across fuse × algorithm on the prebuilt queries
 // ---------------------------------------------------------------------------
 
 using queries::QueryTuning;
 
-QueryTuning tuned(bool fuse, ExchangeAlgorithm algo, bool overlap = false) {
+QueryTuning tuned(bool fuse, ExchangeAlgorithm algo) {
   QueryTuning t;
   t.engine.fuse_exchanges = fuse;
   t.engine.router_preagg = fuse;
-  t.engine.overlap_flush = overlap;
   t.engine.exchange = algo;
   return t;
 }
 
 /// Run `run_one(tuning)` (which returns rank-0 gathered rows) under all
-/// four fuse × algorithm combinations plus the split-phase schedule under
-/// both algorithms, and require byte-identical output.
+/// four fuse × algorithm combinations and require byte-identical output.
 template <typename RunOne>
 void expect_identical_across_modes(RunOne run_one) {
   std::vector<Tuple> ref;
@@ -421,11 +337,6 @@ void expect_identical_across_modes(RunOne run_one) {
       EXPECT_EQ(rows, ref) << "fuse=" << fuse
                            << " algo=" << (algo == ExchangeAlgorithm::kBruck ? "bruck" : "dense");
     }
-  }
-  for (const auto algo : {ExchangeAlgorithm::kDense, ExchangeAlgorithm::kBruck}) {
-    const auto rows = run_one(tuned(/*fuse=*/true, algo, /*overlap=*/true));
-    EXPECT_EQ(rows, ref) << "overlap algo="
-                         << (algo == ExchangeAlgorithm::kBruck ? "bruck" : "dense");
   }
 }
 

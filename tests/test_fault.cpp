@@ -263,34 +263,45 @@ TEST(FaultSweep, DropDupReorderAcrossQueriesAndRankCounts) {
 }
 
 TEST(FaultSweep, CorruptFramesAbortTypedWithoutRetryBudget) {
-  // overlap_flush routes the router's tuple frames over ialltoallv — the
-  // mailbox (faultable) path — so every frame rides the reliable channel's
-  // CRC envelope, empty frames included.  With max_attempts = 0 a flipped
-  // byte is caught and NACKed, and the NACK escalates at once: the abort is
-  // unanimous and typed, never a retransmit and never a wrong fixpoint.
+  // Both faultable router exchanges — the default Bruck relay and the
+  // two-level exchange (member->leader up-frames, the leaders' mailbox
+  // alltoallv, leader->member down-frames) — ride the mailbox path, so
+  // every frame carries the reliable channel's CRC envelope, empty frames
+  // included.  With max_attempts = 0 a flipped byte is caught and NACKed,
+  // and the NACK escalates at once: the abort is unanimous and typed,
+  // never a retransmit and never a wrong fixpoint.
   const auto g = sweep_graph();
-  const auto clean = run_leg(Query::kSssp, 4, vmpi::RunOptions{}, g,
-                             [](queries::QueryTuning& t) {
-                               t.engine.exchange = core::ExchangeAlgorithm::kDense;
-                               t.engine.overlap_flush = true;
-                             });
-  ASSERT_FALSE(clean.any_aborted());
+  struct Leg {
+    const char* name;
+    vmpi::Topology topology;
+    core::ExchangeAlgorithm exchange;
+  };
+  const Leg legs[] = {
+      {"bruck", vmpi::Topology{}, core::ExchangeAlgorithm::kBruck},
+      {"hierarchical", vmpi::Topology::grouped(4, 2), core::ExchangeAlgorithm::kHierarchical},
+  };
+  for (const auto& cfg : legs) {
+    SCOPED_TRACE(cfg.name);
+    const auto tune = [&](queries::QueryTuning& t) { t.engine.exchange = cfg.exchange; };
+    vmpi::RunOptions base;
+    base.topology = cfg.topology;
+    const auto clean = run_leg(Query::kSssp, 4, base, g, tune);
+    ASSERT_FALSE(clean.any_aborted());
 
-  auto options = legacy_options();
-  options.fault.seed = 44;
-  options.fault.corrupt_prob = 0.05;
-  options.watchdog_seconds = kWatchdog;
-  const auto leg = run_leg(Query::kSssp, 4, options, g, [](queries::QueryTuning& t) {
-    t.engine.exchange = core::ExchangeAlgorithm::kDense;
-    t.engine.overlap_flush = true;
-  });
-  expect_unanimous(leg);
-  EXPECT_TRUE(leg.all_aborted());
-  EXPECT_FALSE(leg.fault_what[0].empty());
-  std::uint64_t nacks = 0;
-  for (const auto n : leg.nacks) nacks += n;
-  EXPECT_GT(nacks, 0u) << "the channel's CRC check never fired";
-  EXPECT_EQ(leg.total_retransmits(), 0u) << "max_attempts = 0 must never retransmit";
+    auto options = legacy_options();
+    options.topology = cfg.topology;
+    options.fault.seed = 44;
+    options.fault.corrupt_prob = 0.05;
+    options.watchdog_seconds = kWatchdog;
+    const auto leg = run_leg(Query::kSssp, 4, options, g, tune);
+    expect_unanimous(leg);
+    EXPECT_TRUE(leg.all_aborted());
+    EXPECT_FALSE(leg.fault_what[0].empty());
+    std::uint64_t nacks = 0;
+    for (const auto n : leg.nacks) nacks += n;
+    EXPECT_GT(nacks, 0u) << "the channel's CRC check never fired";
+    EXPECT_EQ(leg.total_retransmits(), 0u) << "max_attempts = 0 must never retransmit";
+  }
 }
 
 TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
@@ -341,8 +352,8 @@ TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
 
 TEST(FaultSweep, HierarchicalExchangeHealsCorruptAndDropInjection) {
   // The two-level exchange moves tuples over three legs — member->leader
-  // up-frames, the leaders-only ialltoallv, and leader->member down-frames
-  // — all on the faultable mailbox path, so all three legs
+  // up-frames, the leaders-only mailbox alltoallv, and leader->member
+  // down-frames — all on the faultable mailbox path, so all three legs
   // ride the reliable channel: a drop retransmits after backoff, a corrupt
   // byte is NACKed and resent, and the fixpoint stays bit-identical.  With
   // retry disabled a drop starves a blocking receive into the legacy

@@ -6,7 +6,7 @@
 // are schedule-invariant (only steps and the intra/cross locality split
 // may move); (3) the hierarchical router reaches the bit-identical staged
 // state of the dense exchange while shipping strictly fewer cross-node
-// bytes, with the split-phase and ragged-node edge cases intact.
+// bytes, with the back-to-back-flush and ragged-node edge cases intact.
 
 #include "vmpi/topology.hpp"
 
@@ -364,8 +364,6 @@ TEST(HierarchicalExchange, MatchesDenseFixpointWithFewerCrossNodeBytes) {
     // the up/down legs show up as the two extra schedule steps.
     EXPECT_EQ(st.calls_of(Op::kAlltoallv), 1u);
     EXPECT_EQ(st.steps_of(Op::kAlltoallv), 3u);
-    EXPECT_EQ(st.tickets_posted, 1u);
-    EXPECT_EQ(st.tickets_completed, 1u);
   }
 }
 
@@ -399,35 +397,32 @@ TEST(HierarchicalExchange, FlatTopologyDegradesToDense) {
   }
 }
 
-TEST(HierarchicalExchange, SplitPhasePostCompleteKeepsEmitsFlowing) {
+TEST(HierarchicalExchange, BackToBackFlushesEachStageTheirOwnRow) {
   const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
                                      Topology::grouped(4, 2));
   vmpi::run(4, options, [&](Comm& comm) {
-    Relation rel(comm, {.name = "sp", .arity = 3, .jcc = 1});
+    Relation rel(comm, {.name = "bb", .arity = 3, .jcc = 1});
     RankProfile profile;
     ExchangeRouter router(comm, /*preaggregate=*/true);
     const auto id = router.add_target(&rel);
     const value_t theirs = key_owned_by(rel, (comm.rank() + 1) % comm.size());
 
+    // Each flush carries exactly the row emitted since the previous one,
+    // and nothing lingers in the buckets between flushes.
     router.emit(id, Tuple{theirs, 1, 1}.view());
-    router.post(profile, ExchangeAlgorithm::kHierarchical);
-    EXPECT_TRUE(router.in_flight());
-
-    // Rows emitted while the two-level exchange is in flight land in the
-    // other generation and ride the next flush untouched.
-    router.emit(id, Tuple{theirs, 2, 2}.view());
-    const auto st1 = router.complete(profile);
-    EXPECT_EQ(st1.rows_staged, 1u);
     EXPECT_EQ(router.pending_rows(), 1u);
+    const auto st1 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
+    EXPECT_EQ(st1.rows_staged, 1u);
+    EXPECT_EQ(router.pending_rows(), 0u);
 
-    router.post(profile, ExchangeAlgorithm::kHierarchical);
-    const auto st2 = router.complete(profile);
+    router.emit(id, Tuple{theirs, 2, 2}.view());
+    const auto st2 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
     EXPECT_EQ(st2.rows_staged, 1u);
 
     rel.materialize();
     EXPECT_EQ(rel.global_size(core::Version::kFull), 8u);
-    EXPECT_EQ(comm.stats().tickets_posted, 2u);
-    EXPECT_EQ(comm.stats().tickets_completed, 2u);
+    EXPECT_EQ(comm.stats().calls_of(Op::kAlltoallv), 2u);
+    EXPECT_EQ(comm.stats().steps_of(Op::kAlltoallv), 6u);
   });
 }
 

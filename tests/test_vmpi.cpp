@@ -523,7 +523,7 @@ TEST(Bruck, BackToBackCallsDoNotCrossMatch) {
   });
 }
 
-TEST(Ialltoallv, MatchesDenseAlltoallv) {
+TEST(MailboxAlltoallv, MatchesDenseAlltoallv) {
   for (const int ranks : {1, 2, 3, 5, 8, 13}) {
     run(ranks, [&](Comm& comm) {
       const int n = comm.size();
@@ -540,63 +540,49 @@ TEST(Ialltoallv, MatchesDenseAlltoallv) {
         send2[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)];
       }
       const auto dense = comm.alltoallv(std::move(send));
-      auto ticket = comm.ialltoallv(std::move(send2));
-      EXPECT_TRUE(ticket.active());
-      const auto split = comm.wait(ticket);
-      EXPECT_FALSE(ticket.active());
-      ASSERT_EQ(split.size(), dense.size());
+      const auto mailbox = comm.alltoallv_mailbox(std::move(send2));
+      ASSERT_EQ(mailbox.size(), dense.size());
       for (int s = 0; s < n; ++s) {
-        EXPECT_EQ(split[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
+        EXPECT_EQ(mailbox[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
             << "ranks=" << ranks << " from=" << s;
       }
     });
   }
 }
 
-TEST(Ialltoallv, TestMakesProgressWithoutBlocking) {
-  run(2, [&](Comm& comm) {
-    std::vector<Bytes> send(2);
-    BufferWriter w;
-    w.put<std::uint64_t>(static_cast<std::uint64_t>(comm.rank() + 1));
-    send[static_cast<std::size_t>(1 - comm.rank())] = w.take();
-    auto ticket = comm.ialltoallv(std::move(send));
-    // Both posts have happened once the barrier releases, so test() must
-    // drain the exchange to completion in finitely many polls.
-    comm.barrier();
-    while (!comm.test(ticket)) {
-    }
-    const auto got = comm.wait(ticket);
-    BufferReader r(got[static_cast<std::size_t>(1 - comm.rank())]);
-    EXPECT_EQ(r.get<std::uint64_t>(), static_cast<std::uint64_t>(2 - comm.rank()));
-  });
-}
-
-TEST(Ialltoallv, TwoOutstandingTicketsDoNotCrossMatch) {
-  run(3, [&](Comm& comm) {
+TEST(MailboxAlltoallv, BackToBackCallsUnderDupAndDelayReturnOnlyTheirOwnWave) {
+  // Duplicated and held-back frames let a fast rank's next wave land in a
+  // peer's mailbox while that peer still drains the current one: only the
+  // per-call tag keeps the waves apart.
+  RunOptions options;
+  options.fault.seed = 17;
+  options.fault.dup_prob = 0.25;
+  options.fault.delay_prob = 0.25;
+  options.fault.max_delay_msgs = 3;
+  options.watchdog_seconds = 10.0;
+  constexpr std::uint64_t kWaves = 8;
+  const auto total = run(4, options, [&](Comm& comm) {
     const auto n = static_cast<std::size_t>(comm.size());
-    auto make_send = [&](std::uint64_t wave) {
+    for (std::uint64_t wave = 1; wave <= kWaves; ++wave) {
       std::vector<Bytes> send(n);
       for (std::size_t d = 0; d < n; ++d) {
         BufferWriter w;
         w.put<std::uint64_t>(wave * 1000 + static_cast<std::uint64_t>(comm.rank()));
         send[d] = w.take();
       }
-      return send;
-    };
-    // Post wave 1 then wave 2, complete them in reverse order: the per-post
-    // tag sequence must keep the frames apart.
-    auto first = comm.ialltoallv(make_send(1));
-    auto second = comm.ialltoallv(make_send(2));
-    const auto got2 = comm.wait(second);
-    const auto got1 = comm.wait(first);
-    for (std::size_t s = 0; s < n; ++s) {
-      EXPECT_EQ(BufferReader(got1[s]).get<std::uint64_t>(), 1000u + s);
-      EXPECT_EQ(BufferReader(got2[s]).get<std::uint64_t>(), 2000u + s);
+      const auto got = comm.alltoallv_mailbox(std::move(send));
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t s = 0; s < n; ++s) {
+        EXPECT_EQ(BufferReader(got[s]).get<std::uint64_t>(), wave * 1000 + s)
+            << "wave " << wave << " from " << s;
+      }
     }
   });
+  EXPECT_GT(total.faults_duplicated, 0u);
+  EXPECT_GT(total.faults_delayed, 0u);
 }
 
-TEST(Ialltoallv, StatsAttributeToAlltoallvNotP2P) {
+TEST(MailboxAlltoallv, StatsAttributeToAlltoallvNotP2P) {
   std::vector<CommStats> per_rank;
   run_collect(
       4,
@@ -608,21 +594,31 @@ TEST(Ialltoallv, StatsAttributeToAlltoallvNotP2P) {
           w.put<std::uint64_t>(2);
           send[static_cast<std::size_t>(d)] = w.take();
         }
-        auto ticket = comm.ialltoallv(std::move(send));
-        (void)comm.wait(ticket);
+        (void)comm.alltoallv_mailbox(std::move(send));
       },
       per_rank);
   for (const auto& st : per_rank) {
-    // Same attribution as the blocking collective: 16 bytes to each of 3
-    // remote ranks, 16 to self — and none of it double-counted as p2p.
+    // Same attribution as the slot-matrix collective: 16 bytes to each of
+    // 3 remote ranks, 16 to self, one call, one step — and none of it
+    // double-counted as p2p.
     EXPECT_EQ(st.remote_bytes(Op::kAlltoallv), 3u * 16u);
     EXPECT_EQ(st.bytes_local[static_cast<std::size_t>(Op::kAlltoallv)], 16u);
     EXPECT_EQ(st.calls_of(Op::kAlltoallv), 1u);
+    EXPECT_EQ(st.steps_of(Op::kAlltoallv), 1u);
     EXPECT_EQ(st.remote_bytes(Op::kP2P), 0u);
     EXPECT_EQ(st.messages_sent, 0u);
     EXPECT_EQ(st.messages_received, 0u);
-    EXPECT_EQ(st.tickets_posted, 1u);
-    EXPECT_EQ(st.tickets_completed, 1u);
+  }
+}
+
+TEST(MailboxAlltoallv, AllEmptySendsCompleteWithoutTraffic) {
+  for (const int ranks : {1, 2, 5}) {
+    run(ranks, [&](Comm& comm) {
+      std::vector<Bytes> send(static_cast<std::size_t>(comm.size()));
+      const auto got = comm.alltoallv_mailbox(std::move(send));
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(comm.size()));
+      for (const auto& b : got) EXPECT_TRUE(b.empty());
+    });
   }
 }
 
@@ -671,34 +667,6 @@ TEST(ManyRanks, CollectivesScaleTo64Threads) {
     EXPECT_EQ(sum, 64u);
     comm.barrier();
   });
-}
-
-TEST(Ialltoallv, WaitOnInactiveTicketThrowsDeterministically) {
-  run(3, [&](Comm& comm) {
-    std::vector<Bytes> send(static_cast<std::size_t>(comm.size()));
-    BufferWriter w;
-    w.put<std::uint64_t>(7);
-    send[static_cast<std::size_t>((comm.rank() + 1) % comm.size())] = w.take();
-    auto ticket = comm.ialltoallv(std::move(send));
-    (void)comm.wait(ticket);
-    EXPECT_FALSE(ticket.active());
-    // A consumed ticket is a programming error, not a hang and not UB.
-    EXPECT_THROW((void)comm.wait(ticket), std::logic_error);
-    EXPECT_THROW((void)comm.test(ticket), std::logic_error);
-  });
-}
-
-TEST(Ialltoallv, AllEmptySendsCompleteWithoutTraffic) {
-  for (const int ranks : {1, 2, 5}) {
-    run(ranks, [&](Comm& comm) {
-      std::vector<Bytes> send(static_cast<std::size_t>(comm.size()));
-      auto ticket = comm.ialltoallv(std::move(send));
-      const auto got = comm.wait(ticket);
-      EXPECT_FALSE(ticket.active());
-      ASSERT_EQ(got.size(), static_cast<std::size_t>(comm.size()));
-      for (const auto& b : got) EXPECT_TRUE(b.empty());
-    });
-  }
 }
 
 }  // namespace
