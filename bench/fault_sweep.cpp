@@ -16,7 +16,9 @@
 //               FaultError); anything else is a bug and exits nonzero
 //   wall_s    — end-to-end seconds (aborted legs pay the watchdog deadline)
 //   injected  — faults the plan actually fired, summed over ranks
-//   retrans   — data frames the reliable channel re-sent, summed over ranks
+//   retrans   — data frames the reliable channel re-sent, summed over ranks,
+//               then split by trigger: gap (a gap NACK's SACK evidence),
+//               corrupt (a corrupt NACK) and timer (a lost tail frame)
 //
 // Also measures the checkpoint tax: the same clean run with a manifest
 // written every iteration, so the overhead column prices `--checkpoint-every`.
@@ -24,7 +26,7 @@
 // With --verdict the sweep turns into a gate: low-rate drop and corrupt
 // legs must heal bit-identically with retransmits > 0, the kill legs must
 // still abort typed (a dead rank is not healable), and the legacy drop legs
-// must keep their fail-stop abort.  CI runs this as the heal-smoke job.
+// must keep their fail-stop abort.  ctest runs this as fault_sweep_verdict.
 
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +48,23 @@ struct Leg {
   std::uint64_t injected = 0;
   std::uint64_t dups_discarded = 0;
   std::uint64_t retransmits = 0;
+  std::uint64_t retransmits_gap = 0;
+  std::uint64_t retransmits_corrupt = 0;
+  std::uint64_t retransmits_timer = 0;
 };
+
+/// Sum the fault and heal counters over ranks into `leg`.
+void tally(Leg& leg, const std::vector<vmpi::CommStats>& per_rank) {
+  for (const auto& s : per_rank) {
+    leg.injected += s.faults_dropped + s.faults_duplicated + s.faults_delayed +
+                    s.faults_corrupted;
+    leg.dups_discarded += s.dup_frames_discarded;
+    leg.retransmits += s.retransmits;
+    leg.retransmits_gap += s.retransmits_gap;
+    leg.retransmits_corrupt += s.retransmits_corrupt;
+    leg.retransmits_timer += s.retransmits_timer;
+  }
+}
 
 struct SweepPoint {
   const char* name;
@@ -103,12 +121,7 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
   if (checkpoint_every > 0) std::remove(ckpt_path.c_str());
 
   leg.wall_s = wall;
-  for (const auto& s : per_rank) {
-    leg.injected += s.faults_dropped + s.faults_duplicated + s.faults_delayed +
-                    s.faults_corrupted;
-    leg.dups_discarded += s.dup_frames_discarded;
-    leg.retransmits += s.retransmits;
-  }
+  tally(leg, per_rank);
   if (aborted) {
     leg.outcome = "abort: " + what.substr(0, 48);
   } else if (!reference.empty() && rows != reference) {
@@ -160,12 +173,7 @@ Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
         }
       },
       per_rank);
-  for (const auto& s : per_rank) {
-    leg.injected += s.faults_dropped + s.faults_duplicated + s.faults_delayed +
-                    s.faults_corrupted;
-    leg.dups_discarded += s.dup_frames_discarded;
-    leg.retransmits += s.retransmits;
-  }
+  tally(leg, per_rank);
   if (aborted) {
     leg.outcome = "abort: " + what.substr(0, 48);
   } else if (!reference.empty() && rows != reference) {
@@ -177,10 +185,13 @@ Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
 }
 
 void emit(const Leg& l) {
-  std::printf("%-10s  %-12s  %-6s  %8.3fs  %7llu  %7llu  %7llu  %s\n",
+  std::printf("%-10s  %-12s  %-6s  %8.3fs  %7llu  %7llu  %4llu %4llu %4llu  %7llu  %s\n",
               l.engine.c_str(), l.fault.c_str(), l.mode.c_str(), l.wall_s,
               static_cast<unsigned long long>(l.injected),
               static_cast<unsigned long long>(l.retransmits),
+              static_cast<unsigned long long>(l.retransmits_gap),
+              static_cast<unsigned long long>(l.retransmits_corrupt),
+              static_cast<unsigned long long>(l.retransmits_timer),
               static_cast<unsigned long long>(l.dups_discarded),
               l.outcome.c_str());
 }
@@ -236,10 +247,10 @@ int main(int argc, char** argv) {
   const vmpi::RetryPolicy healed{};
   const vmpi::RetryPolicy legacy = legacy_policy();
 
-  std::printf("%-10s  %-12s  %-6s  %9s  %7s  %7s  %7s  %s\n", "engine",
-              "fault", "mode", "wall", "injected", "retrans", "deduped",
-              "outcome");
-  rule(80);
+  std::printf("%-10s  %-12s  %-6s  %9s  %7s  %7s  %4s %4s %4s  %7s  %s\n", "engine",
+              "fault", "mode", "wall", "injected", "retrans", "gap", "corr", "tmr",
+              "deduped", "outcome");
+  rule(95);
 
   bool violated = false;
   std::vector<Leg> legs;
@@ -324,10 +335,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  rule(80);
+  rule(95);
   std::printf("\nhealed legs ride the reliable channel: drop and corrupt retransmit to a\n");
-  std::printf("bit-identical fixpoint (retrans column); dup/reorder stay exact via the\n");
-  std::printf("channel's sequence dedup (deduped column) in both modes.\n");
+  std::printf("bit-identical fixpoint (retrans column, split gap / corrupt / timer: a\n");
+  std::printf("dropped frame heals on its receiver's gap NACK, a dropped tail frame on\n");
+  std::printf("the backoff timer); dup/reorder stay exact via the channel's sequence\n");
+  std::printf("dedup (deduped column) in both modes.\n");
   std::printf("legacy legs (retry=0) still run every frame through the channel's sequence,\n");
   std::printf("CRC and dedup checks but heal nothing: drop aborts typed within the %.1fs\n",
               watchdog);

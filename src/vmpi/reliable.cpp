@@ -16,8 +16,7 @@ constexpr std::uint64_t kEnvelopeMagic = 0x50'41'52'41'52'45'4C'49ULL;
 constexpr std::uint64_t kCtrlMagic = 0x50'41'52'41'43'54'52'4CULL;
 constexpr std::size_t kEnvelopeWords = 4;
 constexpr std::size_t kEnvelopeBytes = kEnvelopeWords * sizeof(std::uint64_t);
-
-enum class CtrlKind : std::uint64_t { kAck = 0, kNack = 1 };
+constexpr std::size_t kCtrlHeadWords = 3;  // [magic | kind | cum]
 
 // CRC over (seq, piggybacked cum, payload length, payload bytes): a flipped
 // byte anywhere in the frame — header included — fails it.  Covering the cum
@@ -82,6 +81,7 @@ Bytes ReliableChannel::send_data(int dst, int tag, std::span<const std::byte> pa
   frame.payload.assign(payload.begin(), payload.end());
   frame.first_sent = now;
   frame.next_retry = now + policy_.base_backoff;
+  frame.horizon = edge.next_seq;
   Bytes wire = envelope(dst, seq, frame.payload);
   edge.ring.push_back(std::move(frame));
   ++in_flight_;
@@ -103,17 +103,10 @@ std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, doubl
   }
   if (!valid) {
     // Corrupt on the wire (a flipped byte anywhere in the frame).  The
-    // header may be unreadable, so the NACK carries only our cumulative
-    // watermark: "everything after cum is suspect — resend".  The sender
-    // answers by retransmitting its oldest unacked frame; timers cover
-    // the rest.
-    stats_->nacks_sent += 1;
-    stats_->edge_nacks[static_cast<std::size_t>(src)] += 1;
-    BufferWriter w(3 * sizeof(std::uint64_t));
-    w.put<std::uint64_t>(kCtrlMagic);
-    w.put<std::uint64_t>(static_cast<std::uint64_t>(CtrlKind::kNack));
-    w.put<std::uint64_t>(rx.cum);
-    outbox_.push_back(WireAction{true, src, 0, w.take()});
+    // header may be unreadable, so the NACK names no seq: it carries our
+    // watermark and SACK set, from which the sender picks the likeliest
+    // victim.
+    send_ctrl(src, CtrlKind::kCorruptNack);
     return std::nullopt;
   }
 
@@ -142,6 +135,7 @@ std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, doubl
     rx.ahead.erase(rx.ahead.begin(), it);
   } else {
     rx.ahead.insert(std::lower_bound(rx.ahead.begin(), rx.ahead.end(), seq), seq);
+    rx.ahead_grew = true;
   }
   rx.ack_pending = true;
   progressed_ = true;
@@ -149,18 +143,45 @@ std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, doubl
 }
 
 void ReliableChannel::on_ctrl(int src, const Bytes& frame, double now) {
-  if (frame.size() != 3 * sizeof(std::uint64_t) || read_word(frame, 0) != kCtrlMagic) {
+  const std::size_t words = frame.size() / sizeof(std::uint64_t);
+  if (frame.size() % sizeof(std::uint64_t) != 0 || words < kCtrlHeadWords ||
+      read_word(frame, 0) != kCtrlMagic) {
     return;  // control rides the unfaulted path; a mismatch is a stray frame
   }
   const auto kind = static_cast<CtrlKind>(read_word(frame, 1));
-  const std::uint64_t cum = read_word(frame, 2);
-  absorb_ack(src, cum, now);
-  if (kind == CtrlKind::kNack) {
-    // The receiver saw a corrupt frame after `cum`.  We cannot know which
-    // one (its header was garbage), but the oldest unacked frame is the
-    // one gating the receiver's watermark — resend it now (or, with no
-    // budget at max_attempts = 0, escalate at once).
-    retransmit_front(tx_[static_cast<std::size_t>(src)], src, now);
+  absorb_ack(src, read_word(frame, 2), now);
+  if (kind == CtrlKind::kAck) return;
+
+  std::vector<std::uint64_t> sack(words - kCtrlHeadWords);  // ascending
+  for (std::size_t i = 0; i < sack.size(); ++i) sack[i] = read_word(frame, kCtrlHeadWords + i);
+  const std::uint64_t highest = sack.empty() ? 0 : sack.back();
+  auto& edge = tx_[static_cast<std::size_t>(src)];
+
+  // A corrupt frame's header names no seq, but arrivals follow send order,
+  // so the likeliest victim is the first unacked frame above the highest
+  // SACKed seq — the ring front when nothing is SACKed, and also when no
+  // frame lies above the SACKs (the corrupt copy was then a resend).
+  std::uint64_t suspect = 0;
+  if (kind == CtrlKind::kCorruptNack && !edge.ring.empty()) {
+    const auto above = std::find_if(edge.ring.begin(), edge.ring.end(),
+                                    [&](const TxFrame& f) { return f.seq > highest; });
+    suspect = (above != edge.ring.end() ? *above : edge.ring.front()).seq;
+  }
+  for (auto& f : edge.ring) {
+    if (f.seq > highest && f.seq > suspect) break;
+    // RFC 6675 IsLost: kDupThresh SACKed frames first sent after this
+    // frame's latest copy.  A resend moves the horizon past every seq sent
+    // so far, so stale or repeated evidence never resends a frame twice.
+    const bool lost =
+        !std::binary_search(sack.begin(), sack.end(), f.seq) &&
+        static_cast<std::size_t>(sack.end() - std::lower_bound(sack.begin(), sack.end(),
+                                                                f.horizon)) >= kDupThresh;
+    if (lost) {
+      retransmit(edge, f, src, now, &CommStats::retransmits_gap);
+    } else if (f.seq == suspect) {
+      retransmit(edge, f, src, now, &CommStats::retransmits_corrupt);
+    }
+    if (failure_) return;
   }
 }
 
@@ -183,9 +204,9 @@ void ReliableChannel::absorb_ack(int src, std::uint64_t cum, double now) {
   progressed_ = true;
 }
 
-void ReliableChannel::retransmit_front(TxEdge& edge, int dst, double now) {
-  if (failure_ || edge.ring.empty()) return;
-  TxFrame& f = edge.ring.front();
+void ReliableChannel::retransmit(TxEdge& edge, TxFrame& f, int dst, double now,
+                                 std::uint64_t CommStats::*trigger) {
+  if (failure_) return;
   if (f.attempts >= policy_.max_attempts || now - f.first_sent > policy_.deadline) {
     failure_ = Failure{dst, f.seq, f.attempts, now - f.first_sent};
     return;
@@ -193,37 +214,56 @@ void ReliableChannel::retransmit_front(TxEdge& edge, int dst, double now) {
   ++f.attempts;
   // Deterministic exponential backoff: attempt k waits base * 2^k.
   f.next_retry = now + policy_.base_backoff * static_cast<double>(1ULL << f.attempts);
+  f.horizon = edge.next_seq;
   stats_->retransmits += 1;
+  stats_->*trigger += 1;
   stats_->edge_retransmits[static_cast<std::size_t>(dst)] += 1;
   outbox_.push_back(WireAction{false, dst, f.tag, envelope(dst, f.seq, f.payload)});
+}
+
+void ReliableChannel::send_ctrl(int dst, CtrlKind kind) {
+  auto& rx = rx_[static_cast<std::size_t>(dst)];
+  const std::span<const std::uint64_t> sack =
+      kind == CtrlKind::kAck ? std::span<const std::uint64_t>() : rx.ahead;
+  BufferWriter w((kCtrlHeadWords + sack.size()) * sizeof(std::uint64_t));
+  w.put<std::uint64_t>(kCtrlMagic);
+  w.put<std::uint64_t>(static_cast<std::uint64_t>(kind));
+  w.put<std::uint64_t>(rx.cum);
+  w.put_span(sack);
+  outbox_.push_back(WireAction{true, dst, 0, w.take()});
+  rx.ack_pending = false;
+  if (kind == CtrlKind::kAck) {
+    stats_->acks_sent += 1;
+  } else {
+    stats_->nacks_sent += 1;
+    stats_->edge_nacks[static_cast<std::size_t>(dst)] += 1;
+    rx.ahead_grew = false;
+  }
 }
 
 void ReliableChannel::poll(double now) {
   for (std::size_t d = 0; d < tx_.size(); ++d) {
     auto& edge = tx_[d];
-    // Only the ring front retransmits on timer: it is the frame gating the
-    // receiver's cumulative watermark, and resending one frame per edge
-    // per round keeps the healing traffic (and the fault rolls it
-    // consumes) bounded.  Later frames inherit the front's fate — an ack
-    // covering the front usually covers them via the watermark, and if
-    // not, they become the front next.  At max_attempts = 0 no timer
-    // fires: a frame that is merely late must not abort the run.
+    // The timer covers what no NACK can: a lost frame with too few later
+    // frames behind it for the receiver to see a gap — above all the tail.
+    // It watches only the ring front, the frame gating the receiver's
+    // watermark; later frames become the front in turn, and resending one
+    // frame per edge per round keeps the healing traffic (and the fault
+    // rolls it consumes) bounded.  At max_attempts = 0 no timer fires: a
+    // frame that is merely late must not abort the run.
     if (policy_.max_attempts > 0 && !edge.ring.empty() &&
         edge.ring.front().next_retry <= now) {
-      retransmit_front(edge, static_cast<int>(d), now);
+      retransmit(edge, edge.ring.front(), static_cast<int>(d), now,
+                 &CommStats::retransmits_timer);
     }
     if (failure_) return;
   }
   for (std::size_t s = 0; s < rx_.size(); ++s) {
-    auto& rx = rx_[s];
-    if (rx.ack_pending) {
-      rx.ack_pending = false;
-      stats_->acks_sent += 1;
-      BufferWriter w(3 * sizeof(std::uint64_t));
-      w.put<std::uint64_t>(kCtrlMagic);
-      w.put<std::uint64_t>(static_cast<std::uint64_t>(CtrlKind::kAck));
-      w.put<std::uint64_t>(rx.cum);
-      outbox_.push_back(WireAction{true, static_cast<int>(s), 0, w.take()});
+    const auto& rx = rx_[s];
+    if (policy_.max_attempts > 0 && rx.ahead_grew && rx.ahead.size() >= kDupThresh) {
+      send_ctrl(static_cast<int>(s), CtrlKind::kGapNack);
+    } else if (rx.ack_pending) {
+      send_ctrl(static_cast<int>(s), CtrlKind::kAck);
     }
   }
 }
@@ -236,9 +276,12 @@ std::vector<ReliableChannel::WireAction> ReliableChannel::take_outbox() {
 
 std::string ReliableChannel::heal_summary(const CommStats& stats) {
   std::string s = "healing attempted: " + std::to_string(stats.retransmits) +
-                  " retransmits, " + std::to_string(stats.nacks_sent) + " nacks, " +
+                  " retransmits (" + std::to_string(stats.retransmits_gap) + " gap, " +
+                  std::to_string(stats.retransmits_corrupt) + " corrupt, " +
+                  std::to_string(stats.retransmits_timer) + " timer), " +
+                  std::to_string(stats.nacks_sent) + " nacks, " +
                   std::to_string(stats.reliable_dups_discarded) + " dups discarded, " +
-                  std::to_string(stats.heal_seconds) + "s backoff";
+                  std::to_string(stats.heal_seconds) + "s first-send-to-ack on healed frames";
   std::uint64_t worst = 0;
   std::size_t worst_edge = 0;
   for (std::size_t d = 0; d < stats.edge_retransmits.size(); ++d) {

@@ -92,15 +92,21 @@ struct CommStats {
   /// under StatsPause, like the fault counters — healing is diagnostic
   /// state, not measured traffic, and retransmitted bytes are deliberately
   /// excluded from the byte counters so volume totals stay
-  /// schedule-deterministic).  `retransmits` counts data frames re-sent
-  /// (timer- or NACK-triggered); `nacks_sent` counts corrupt frames this
-  /// rank asked to have resent; `reliable_dups_discarded` counts frames
+  /// schedule-deterministic).  `retransmits` counts data frames re-sent,
+  /// split by trigger: `retransmits_gap` (a gap NACK's SACK evidence
+  /// showed the copy lost), `retransmits_corrupt` (a corrupt NACK) and
+  /// `retransmits_timer` (the backoff timer, for a lost tail frame).
+  /// `nacks_sent` counts NACKs this rank sent, for a corrupt arrival or a
+  /// gap; `reliable_dups_discarded` counts frames
   /// the envelope-sequence dedup consumed (these also count into
   /// dup_frames_discarded); `frames_healed` counts frames that needed at least one
   /// retransmit and were eventually acknowledged, with `heal_seconds`
   /// their total first-send-to-ack exposure.  The edge_* vectors (indexed
   /// by peer rank) locate the sick link.
   std::uint64_t retransmits = 0;
+  std::uint64_t retransmits_gap = 0;
+  std::uint64_t retransmits_corrupt = 0;
+  std::uint64_t retransmits_timer = 0;
   std::uint64_t nacks_sent = 0;
   std::uint64_t acks_sent = 0;
   std::uint64_t reliable_dups_discarded = 0;
@@ -188,6 +194,9 @@ struct CommStats {
     faults_corrupted += other.faults_corrupted;
     dup_frames_discarded += other.dup_frames_discarded;
     retransmits += other.retransmits;
+    retransmits_gap += other.retransmits_gap;
+    retransmits_corrupt += other.retransmits_corrupt;
+    retransmits_timer += other.retransmits_timer;
     nacks_sent += other.nacks_sent;
     acks_sent += other.acks_sent;
     reliable_dups_discarded += other.reliable_dups_discarded;
@@ -220,6 +229,9 @@ struct CommStats {
     w.put(faults_corrupted);
     w.put(dup_frames_discarded);
     w.put(retransmits);
+    w.put(retransmits_gap);
+    w.put(retransmits_corrupt);
+    w.put(retransmits_timer);
     w.put(nacks_sent);
     w.put(acks_sent);
     w.put(reliable_dups_discarded);
@@ -252,6 +264,9 @@ struct CommStats {
     s.faults_corrupted = r.get<std::uint64_t>();
     s.dup_frames_discarded = r.get<std::uint64_t>();
     s.retransmits = r.get<std::uint64_t>();
+    s.retransmits_gap = r.get<std::uint64_t>();
+    s.retransmits_corrupt = r.get<std::uint64_t>();
+    s.retransmits_timer = r.get<std::uint64_t>();
     s.nacks_sent = r.get<std::uint64_t>();
     s.acks_sent = r.get<std::uint64_t>();
     s.reliable_dups_discarded = r.get<std::uint64_t>();

@@ -58,6 +58,7 @@ struct LegOutcome {
   std::vector<std::string> fault_what;  // per rank
   std::vector<Tuple> rows;              // root's gather when not aborted
   std::vector<std::uint64_t> retransmits;  // per rank: frames healed on the wire
+  std::vector<std::uint64_t> gap_retransmits;  // per rank: the gap-NACK-triggered share
   std::vector<std::uint64_t> nacks;        // per rank: corrupt frames bounced
   std::vector<std::uint64_t> dups;         // per rank: wire duplicates discarded
   [[nodiscard]] bool any_aborted() const {
@@ -75,6 +76,11 @@ struct LegOutcome {
   [[nodiscard]] std::uint64_t total_retransmits() const {
     std::uint64_t s = 0;
     for (const auto r : retransmits) s += r;
+    return s;
+  }
+  [[nodiscard]] std::uint64_t total_gap_retransmits() const {
+    std::uint64_t s = 0;
+    for (const auto r : gap_retransmits) s += r;
     return s;
   }
   [[nodiscard]] std::uint64_t total_dups() const {
@@ -103,6 +109,7 @@ LegOutcome run_leg(Query query, int ranks, const vmpi::RunOptions& options,
   out.aborted.assign(static_cast<std::size_t>(ranks), 0);
   out.fault_what.resize(static_cast<std::size_t>(ranks));
   out.retransmits.assign(static_cast<std::size_t>(ranks), 0);
+  out.gap_retransmits.assign(static_cast<std::size_t>(ranks), 0);
   out.nacks.assign(static_cast<std::size_t>(ranks), 0);
   out.dups.assign(static_cast<std::size_t>(ranks), 0);
   vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
@@ -144,6 +151,7 @@ LegOutcome run_leg(Query query, int ranks, const vmpi::RunOptions& options,
     out.aborted[me] = run.aborted_fault ? 1 : 0;
     out.fault_what[me] = run.fault_what;
     out.retransmits[me] = comm.stats().retransmits;
+    out.gap_retransmits[me] = comm.stats().retransmits_gap;
     out.nacks[me] = comm.stats().nacks_sent;
     out.dups[me] = comm.stats().reliable_dups_discarded;
   });
@@ -215,6 +223,11 @@ TEST(FaultSweep, DropDupReorderAcrossQueriesAndRankCounts) {
         if (kind.expect_heal) {
           EXPECT_GT(leg.total_retransmits(), 0u)
               << "drops healed without a single retransmit?";
+        }
+        // A bounded reorder never holds kDupThresh later frames ahead of a
+        // late one at a service-pass boundary, so no gap NACK resends it.
+        if (kind.plan.delay_prob > 0) {
+          EXPECT_EQ(leg.total_gap_retransmits(), 0u) << "spurious gap retransmit";
         }
       }
     }

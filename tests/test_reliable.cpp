@@ -1,19 +1,24 @@
-// Self-healing transport: retry-budget escalation, healing-counter
-// determinism, and serving batch rollback.
+// Self-healing transport: retransmit triggers, retry-budget escalation,
+// healing-counter determinism, and serving batch rollback.
 //
 // The contract under test (DESIGN.md §14): the reliable channel heals
 // injected drops and corruption by ack/retransmit within a bounded retry
-// budget; when the budget is exhausted the failure escalates to the PR 5
-// typed abort on every rank (never a hang), with the healing counters in
-// the error text; the counters themselves replay exactly from the fault
-// seed; and a serving batch that aborts mid-flight rolls back to the
-// pre-batch fixpoint and the engine keeps serving.
+// budget — a mid-stream drop on its receiver's gap NACK, a corrupt frame on
+// its corrupt NACK, a dropped tail frame on the backoff timer; when the
+// budget is exhausted the failure escalates to the typed abort on every
+// rank (never a hang), with the healing counters in the error text; the
+// counters themselves replay exactly from the fault seed; and a serving
+// batch that aborts mid-flight rolls back to the pre-batch fixpoint and the
+// engine keeps serving.
 
 #include "vmpi/reliable.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,47 +46,92 @@ vmpi::RetryPolicy tight_retry() {
   return r;
 }
 
-/// One directed-edge fault leg over bare vmpi: rank 1 sends one frame to
-/// rank 2, everyone meets at a barrier.  Under a total directed fault the
-/// send can never be delivered intact; the sender must exhaust its budget
-/// into a typed abort that poisons every rank.
+// A timer that never fires within a test: base_backoff far beyond the
+// watchdog, so any retransmit must have been NACK-triggered.
+vmpi::RetryPolicy parked_timer() {
+  vmpi::RetryPolicy r = tight_retry();
+  r.base_backoff = 10.0;
+  return r;
+}
+
+/// One directed-edge fault leg over bare vmpi: rank 1 sends `frames` frames
+/// (frame i carries the word i) to rank 2, everyone meets at a barrier.
+/// Under a total directed fault the sends can never be delivered intact;
+/// the sender must exhaust its budget into a typed abort that poisons
+/// every rank.  Under a single drop the counters show which trigger healed
+/// it.
 struct DirectedLeg {
   std::vector<int> aborted;
   std::vector<std::string> what;
-  std::vector<std::uint64_t> retransmits;
-  std::vector<std::uint64_t> nacks;
+  std::vector<vmpi::CommStats> stats;
+  std::vector<std::uint64_t> received;  // rank 2's frames, in arrival order
+  double wall_seconds = 0;
 };
 
-DirectedLeg run_directed_leg(const vmpi::FaultPlan& plan, const vmpi::RetryPolicy& retry) {
+DirectedLeg run_directed_leg(const vmpi::FaultPlan& plan, const vmpi::RetryPolicy& retry,
+                             std::uint64_t frames = 1, double watchdog = kWatchdog) {
   constexpr int kRanks = 3;
   DirectedLeg out;
   out.aborted.assign(kRanks, 0);
   out.what.resize(kRanks);
-  out.retransmits.assign(kRanks, 0);
-  out.nacks.assign(kRanks, 0);
+  out.stats.resize(kRanks);
   vmpi::RunOptions options;
   options.fault = plan;
   options.retry = retry;
-  options.watchdog_seconds = kWatchdog;
+  options.watchdog_seconds = watchdog;
+  const auto t0 = std::chrono::steady_clock::now();
   vmpi::run(kRanks, options, [&](vmpi::Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     try {
-      if (comm.rank() == 1) {
-        const std::byte payload[8] = {};
-        comm.isend(2, 7, payload);
-      }
-      if (comm.rank() == 2) {
-        (void)comm.recv(1, 7);
+      for (std::uint64_t i = 0; i < frames; ++i) {
+        if (comm.rank() == 1) {
+          std::byte payload[sizeof i];
+          std::memcpy(payload, &i, sizeof i);
+          comm.isend(2, 7, payload);
+        }
+        if (comm.rank() == 2) {
+          const auto got = comm.recv(1, 7);
+          std::uint64_t v = 0;
+          std::memcpy(&v, got.data(), std::min(got.size(), sizeof v));
+          out.received.push_back(v);
+        }
       }
       comm.barrier();
     } catch (const vmpi::FaultError& e) {
       out.aborted[me] = 1;
       out.what[me] = e.what();
     }
-    out.retransmits[me] = comm.stats().retransmits;
-    out.nacks[me] = comm.stats().nacks_sent;
+    out.stats[me] = comm.stats();
   });
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return out;
+}
+
+/// The first seed under which, of the first `sends` physical sends on edge
+/// 1->2, exactly the one numbered `dropped` is dropped.  fault_decide is a
+/// pure function, so the chosen schedule replays exactly; scanning for it
+/// keeps the case independent of any one hash constant.
+vmpi::FaultPlan plan_dropping(std::uint64_t dropped, std::uint64_t sends) {
+  vmpi::FaultPlan plan;
+  plan.drop_prob = 0.25;
+  plan.only_src = 1;
+  plan.only_dst = 2;
+  for (plan.seed = 1;; ++plan.seed) {
+    bool match = true;
+    for (std::uint64_t s = 0; s < sends && match; ++s) {
+      const bool drop =
+          vmpi::fault_decide(plan, 1, 2, s).action == vmpi::FaultAction::kDrop;
+      match = drop == (s == dropped);
+    }
+    if (match) return plan;
+  }
+}
+
+std::vector<std::uint64_t> iota_frames(std::uint64_t n) {
+  std::vector<std::uint64_t> v(n);
+  for (std::uint64_t i = 0; i < n; ++i) v[i] = i;
+  return v;
 }
 
 TEST(Reliable, DirectedDropExhaustsRetryBudgetIntoTypedAbort) {
@@ -99,9 +149,10 @@ TEST(Reliable, DirectedDropExhaustsRetryBudgetIntoTypedAbort) {
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(leg.aborted[static_cast<std::size_t>(r)], 1) << "rank " << r;
   }
-  EXPECT_EQ(leg.retransmits[1], retry.max_attempts);
-  EXPECT_EQ(leg.retransmits[0] + leg.retransmits[2], 0u);
-  EXPECT_EQ(leg.nacks[0] + leg.nacks[1] + leg.nacks[2], 0u);
+  EXPECT_EQ(leg.stats[1].retransmits, retry.max_attempts);
+  EXPECT_EQ(leg.stats[1].retransmits_timer, retry.max_attempts);
+  EXPECT_EQ(leg.stats[0].retransmits + leg.stats[2].retransmits, 0u);
+  EXPECT_EQ(leg.stats[0].nacks_sent + leg.stats[1].nacks_sent + leg.stats[2].nacks_sent, 0u);
   // S1: the sender's abort names the edge and embeds the heal counters.
   EXPECT_NE(leg.what[1].find("reliable delivery to rank 2"), std::string::npos)
       << leg.what[1];
@@ -111,31 +162,101 @@ TEST(Reliable, DirectedDropExhaustsRetryBudgetIntoTypedAbort) {
 
 TEST(Reliable, DirectedCorruptExhaustsBudgetWithNacksAndRepliesExactly) {
   // Every copy of edge 1->2 is corrupted: each arrival fails the envelope
-  // CRC and bounces a NACK, each NACK (or timer) triggers one retransmit,
-  // and the budget caps the exchange at max_attempts retransmits and
-  // max_attempts + 1 corrupt arrivals — all deterministic from the seed.
+  // CRC and bounces a corrupt NACK, each NACK triggers one retransmit of
+  // the ring front (nothing is SACKed), and the budget caps the exchange at
+  // max_attempts retransmits and max_attempts + 1 corrupt arrivals — all
+  // deterministic from the seed.  The timer is parked so that no retransmit
+  // can race a NACK: every one must be corrupt-triggered.
   vmpi::FaultPlan plan;
   plan.seed = 62;
   plan.corrupt_prob = 1.0;
   plan.only_src = 1;
   plan.only_dst = 2;
-  const auto retry = tight_retry();
+  const auto retry = parked_timer();
 
   const auto first = run_directed_leg(plan, retry);
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(first.aborted[static_cast<std::size_t>(r)], 1) << "rank " << r;
   }
-  EXPECT_EQ(first.retransmits[1], retry.max_attempts);
+  EXPECT_EQ(first.stats[1].retransmits, retry.max_attempts);
+  EXPECT_EQ(first.stats[1].retransmits_corrupt, retry.max_attempts);
   // Receiver NACKed the initial copy plus every retransmitted copy.
-  EXPECT_EQ(first.nacks[2], static_cast<std::uint64_t>(retry.max_attempts) + 1);
+  EXPECT_EQ(first.stats[2].nacks_sent, static_cast<std::uint64_t>(retry.max_attempts) + 1);
 
   // S3: replaying the identical schedule reproduces the healing counters
   // bit-for-bit — the fault decisions and the budget arithmetic are both
   // pure functions of the seed.
   const auto second = run_directed_leg(plan, retry);
-  EXPECT_EQ(first.retransmits, second.retransmits);
-  EXPECT_EQ(first.nacks, second.nacks);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(first.stats[r].retransmits, second.stats[r].retransmits) << "rank " << r;
+    EXPECT_EQ(first.stats[r].nacks_sent, second.stats[r].nacks_sent) << "rank " << r;
+  }
   EXPECT_EQ(first.aborted, second.aborted);
+}
+
+TEST(Reliable, MidStreamDropHealsOnGapNackNotTimer) {
+  // Frame 2 of 8 vanishes on edge 1->2 and the timer is parked at 10 s.
+  // Frames 3..5 land beyond the hole, the receiver's gap NACK SACKs them,
+  // and the sender resends frame 2 at once — one gap retransmit, no timer
+  // and no corrupt one, long before the backoff (or the 4 s watchdog) could
+  // fire.  Only the first copy is dropped: every other send, the resend
+  // included, is delivered.
+  constexpr std::uint64_t kFrames = 8;
+  const auto plan = plan_dropping(/*dropped=*/2, /*sends=*/kFrames + 4);
+  const auto leg = run_directed_leg(plan, parked_timer(), kFrames);
+
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(leg.aborted[static_cast<std::size_t>(r)], 0)
+        << "rank " << r << ": " << leg.what[static_cast<std::size_t>(r)];
+  }
+  EXPECT_EQ(leg.stats[1].faults_dropped, 1u);
+  EXPECT_EQ(leg.stats[1].retransmits, 1u);
+  EXPECT_EQ(leg.stats[1].retransmits_gap, 1u);
+  EXPECT_EQ(leg.stats[1].retransmits_timer, 0u);
+  EXPECT_EQ(leg.stats[1].retransmits_corrupt, 0u);
+  EXPECT_GE(leg.stats[2].nacks_sent, 1u);
+  EXPECT_LT(leg.wall_seconds, 1.0) << "healed by the parked timer, not the gap NACK?";
+  // Every frame reached the application exactly once.
+  auto sorted = leg.received;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, iota_frames(kFrames));
+}
+
+TEST(Reliable, DroppedTailFrameHealsByTimerOnly) {
+  // The last of 8 frames vanishes: nothing lands behind it, so the
+  // receiver sees no gap and sends no NACK, and only the backoff timer can
+  // heal it.
+  constexpr std::uint64_t kFrames = 8;
+  const auto plan = plan_dropping(/*dropped=*/kFrames - 1, /*sends=*/kFrames + 6);
+  const auto leg = run_directed_leg(plan, vmpi::RetryPolicy{}, kFrames);
+
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(leg.aborted[static_cast<std::size_t>(r)], 0)
+        << "rank " << r << ": " << leg.what[static_cast<std::size_t>(r)];
+  }
+  EXPECT_GE(leg.stats[1].retransmits_timer, 1u);
+  EXPECT_EQ(leg.stats[1].retransmits, leg.stats[1].retransmits_timer);
+  EXPECT_EQ(leg.stats[2].nacks_sent, 0u);
+  EXPECT_EQ(leg.received, iota_frames(kFrames));
+}
+
+TEST(Reliable, NoGapNackAtZeroRetryBudget) {
+  // The mid-stream drop above under max_attempts = 0: the channel still
+  // sequences and SACKs, but sends no gap NACK and resends nothing, so the
+  // hole starves the receiver into the watchdog's typed abort on every
+  // rank.
+  constexpr std::uint64_t kFrames = 8;
+  const auto plan = plan_dropping(/*dropped=*/2, /*sends=*/kFrames + 4);
+  vmpi::RetryPolicy fail_stop;
+  fail_stop.max_attempts = 0;
+  const auto leg = run_directed_leg(plan, fail_stop, kFrames, /*watchdog=*/1.0);
+
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(leg.aborted[r], 1) << "rank " << r;
+    EXPECT_EQ(leg.stats[r].nacks_sent, 0u) << "rank " << r;
+    EXPECT_EQ(leg.stats[r].retransmits, 0u) << "rank " << r;
+  }
+  EXPECT_NE(leg.what[2].find("watchdog timeout"), std::string::npos) << leg.what[2];
 }
 
 // ---------------------------------------------------------------------------
