@@ -1,27 +1,25 @@
 // Topology-aware two-level exchange: does routing the tuple exchange
-// through per-node aggregator ranks cut cross-node volume, and do the
-// log-step collective schedules cut latency-bearing rounds?
+// through per-node aggregator ranks cut cross-node volume?
 //
-// Sweep: 16..64 ranks grouped 8 ranks per modeled node, three configs per
+// Sweep: 16..64 ranks grouped 8 ranks per modeled node, two configs per
 // size over the same single-rule SSSP fixpoint:
 //
-//   dense-linear — flat matrix alltoallv, O(n)-step slot collectives
 //   dense-rd     — flat matrix alltoallv, recursive-doubling collectives
 //   hier-rd      — two-level exchange (node aggregators pre-merge MIN
 //                  deltas, leaders-only mailbox alltoallv, intra-node
 //                  scatter)
 //
-// All three run under the SAME node grouping, so the cross-node byte split
-// is apples to apples; only the routing and the schedule differ.  Metrics
-// come straight from the CommStats counters: cross- vs intra-node bytes
-// under Op::kAlltoallv (the tuple exchange), and steps-per-call for the
-// allreduce/allgather the BSP termination vote issues every iteration.
+// Both run under the SAME node grouping, so the cross-node byte split is
+// apples to apples; only the routing differs.  Metrics come straight from
+// the CommStats counters: cross- vs intra-node bytes under Op::kAlltoallv
+// (the tuple exchange), and steps-per-call for the allreduce/allgather the
+// BSP termination vote runs every iteration.
 //
 // The verdict is counter-based, at 32 ranks grouped 4x8:
 //   * hier-rd must ship strictly fewer cross-node tuple-exchange bytes
 //     than dense-rd (the node-level pre-merge must pay for itself), and
-//   * dense-rd's allreduce must take ceil(log2 32) = 5 steps per call
-//     where dense-linear takes 31, and
+//   * dense-rd's allreduce must take at most ceil(log2 32) = 5 steps per
+//     call, and
 //   * every config must reach the bit-identical fixpoint.
 // Any violation exits nonzero.
 
@@ -39,7 +37,6 @@ namespace {
 struct Config {
   const char* name = "dense-rd";
   core::ExchangeAlgorithm exchange = core::ExchangeAlgorithm::kDense;
-  vmpi::CollectiveSchedule schedule = vmpi::CollectiveSchedule::kRecursiveDoubling;
 };
 
 struct Row {
@@ -65,7 +62,6 @@ Row run_once(const graph::Graph& g, const std::vector<core::value_t>& sources, i
 
   vmpi::RunOptions ropts;
   ropts.topology = vmpi::Topology::grouped(ranks, nodes);
-  ropts.schedule = cfg.schedule;
   vmpi::run(ranks, ropts, [&](vmpi::Comm& comm) {
     queries::SsspOptions opts;
     opts.sources = sources;
@@ -113,7 +109,7 @@ int main(int argc, char** argv) {
 
   const int scale = argc > 1 ? std::atoi(argv[1]) : 10;
 
-  banner("two-level exchange + log-step schedules",
+  banner("two-level exchange + log-step collectives",
          "SSSP under a modeled node topology (8 ranks per node)",
          "one JSON line per (ranks, config); verdict at 32 ranks / 4 nodes");
 
@@ -121,14 +117,11 @@ int main(int argc, char** argv) {
   const auto sources = g.pick_hubs(3);
 
   const Config kConfigs[] = {
-      {"dense-linear", core::ExchangeAlgorithm::kDense, vmpi::CollectiveSchedule::kLinear},
-      {"dense-rd", core::ExchangeAlgorithm::kDense,
-       vmpi::CollectiveSchedule::kRecursiveDoubling},
-      {"hier-rd", core::ExchangeAlgorithm::kHierarchical,
-       vmpi::CollectiveSchedule::kRecursiveDoubling},
+      {"dense-rd", core::ExchangeAlgorithm::kDense},
+      {"hier-rd", core::ExchangeAlgorithm::kHierarchical},
   };
 
-  Row dense_linear32, dense_rd32, hier_rd32;
+  Row dense_rd32, hier_rd32;
   bool fixpoint_ok = true;
   for (const int ranks : {16, 32, 64}) {
     const int nodes = ranks / 8;
@@ -148,7 +141,6 @@ int main(int argc, char** argv) {
         fixpoint_ok = false;
       }
       if (ranks == 32) {
-        if (row.config == "dense-linear") dense_linear32 = row;
         if (row.config == "dense-rd") dense_rd32 = row;
         if (row.config == "hier-rd") hier_rd32 = row;
       }
@@ -171,18 +163,13 @@ int main(int argc, char** argv) {
   }
 
   const double log_steps = std::ceil(std::log2(32.0));
-  if (dense_rd32.allreduce_steps_per_call > log_steps ||
-      dense_linear32.allreduce_steps_per_call != 31.0) {
-    std::printf("VERDICT: FAIL — allreduce steps/call: rd %.2f (want <= %.0f), "
-                "linear %.2f (want 31)\n",
-                dense_rd32.allreduce_steps_per_call, log_steps,
-                dense_linear32.allreduce_steps_per_call);
+  if (dense_rd32.allreduce_steps_per_call > log_steps) {
+    std::printf("VERDICT: FAIL — allreduce steps/call: rd %.2f (want <= %.0f)\n",
+                dense_rd32.allreduce_steps_per_call, log_steps);
     ok = false;
   } else {
-    std::printf("allreduce steps/call at 32 ranks: rd %.2f (= log2 n) vs linear %.2f "
-                "(= n-1)\n",
-                dense_rd32.allreduce_steps_per_call,
-                dense_linear32.allreduce_steps_per_call);
+    std::printf("allreduce steps/call at 32 ranks: rd %.2f (<= log2 n = %.0f)\n",
+                dense_rd32.allreduce_steps_per_call, log_steps);
   }
 
   if (!ok) return 1;

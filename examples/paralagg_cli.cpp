@@ -13,7 +13,8 @@
 //   options:
 //     --graph FILE        text edge list: "src dst [weight]" per line
 //     --synthetic NAME    rmat | grid | chain | er | twitter (default rmat)
-//     --scale N           synthetic size parameter (default 12)
+//     --scale N           synthetic size parameter, log2 of the node count
+//                         (default 12; must be 1..40)
 //     --ranks N           virtual MPI ranks (default 4)
 //     --sources a,b,c     start nodes (default: 3 hubs)
 //     --rounds N          pagerank rounds (default 20)
@@ -69,9 +70,6 @@
 //     --topology MODE     flat (default) | hier — hier routes the tuple
 //                         exchange through per-node aggregator ranks
 //                         (needs --nodes >= 1 to group ranks)
-//     --schedule NAME     linear | rd (default) | swing — collective
-//                         schedule for allreduce/allgather; results are
-//                         bit-identical on any choice
 //     --out FILE          write result tuples as text
 //
 // Examples:
@@ -119,7 +117,6 @@ struct Args {
   std::size_t skew_max_keys = 16;
   int nodes = 0;
   std::string topology = "flat";
-  std::string schedule = "rd";
   std::string out_file;
 };
 
@@ -134,7 +131,7 @@ struct Args {
                "       [--skew-threshold N] [--skew-max-keys N]\n"
                "       [--watchdog SECONDS] [--retry-max N] [--retry-backoff S]\n"
                "       [--retry-deadline S] [--nodes N] [--topology flat|hier]\n"
-               "       [--schedule linear|rd|swing] [--out FILE]\n";
+               "       [--out FILE]\n";
   std::exit(2);
 }
 
@@ -160,7 +157,11 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--synthetic") {
       args.synthetic = next();
     } else if (flag == "--scale") {
+      // Every synthetic generator shifts 1 << scale: a negative or >= 64
+      // shift is undefined, and 2^40 nodes is far beyond what an
+      // in-process run can hold.
       args.scale = std::stoi(next());
+      if (args.scale < 1 || args.scale > 40) usage("--scale must be in 1..40");
     } else if (flag == "--ranks") {
       args.ranks = std::stoi(next());
     } else if (flag == "--sources") {
@@ -246,8 +247,6 @@ Args parse(int argc, char** argv) {
       if (args.topology != "flat" && args.topology != "hier") {
         usage(("unknown topology " + args.topology + " (expected flat or hier)").c_str());
       }
-    } else if (flag == "--schedule") {
-      args.schedule = next();
     } else if (flag == "--out") {
       args.out_file = next();
     } else {
@@ -292,6 +291,14 @@ void write_rows(const std::string& path, const std::vector<core::Tuple>& rows,
     out << "\n";
   }
   std::cout << rows.size() << " rows written to " << path << "\n";
+}
+
+vmpi::RunOptions run_options(const Args& args) {
+  vmpi::RunOptions ropts;
+  ropts.watchdog_seconds = args.watchdog_seconds;
+  ropts.retry = args.retry;
+  ropts.topology = vmpi::Topology::grouped(args.ranks, args.nodes);
+  return ropts;
 }
 
 void report(const core::RunResult& run) {
@@ -353,12 +360,7 @@ int run_datalog(const Args& args) {
   std::map<std::string, std::vector<core::Tuple>> facts;
   for (const auto& [rel, path] : args.fact_files) facts[rel] = read_rows(path);
 
-  vmpi::RunOptions ropts;
-  ropts.watchdog_seconds = args.watchdog_seconds;
-  ropts.retry = args.retry;
-  ropts.topology = vmpi::Topology::grouped(args.ranks, args.nodes);
-  ropts.schedule = vmpi::parse_schedule(args.schedule);
-  vmpi::run(args.ranks, ropts, [&](vmpi::Comm& comm) {
+  vmpi::run(args.ranks, run_options(args), [&](vmpi::Comm& comm) {
     auto inst = prog.instantiate(comm, args.sub_buckets);
     for (const auto& [rel, rows] : facts) {
       // Round-robin slice so every rank contributes a share.
@@ -406,15 +408,6 @@ int run_datalog(const Args& args) {
 }
 
 namespace {
-
-vmpi::RunOptions run_options(const Args& args) {
-  vmpi::RunOptions ropts;
-  ropts.watchdog_seconds = args.watchdog_seconds;
-  ropts.retry = args.retry;
-  ropts.topology = vmpi::Topology::grouped(args.ranks, args.nodes);
-  ropts.schedule = vmpi::parse_schedule(args.schedule);
-  return ropts;
-}
 
 void run_query(const Args& args, const graph::Graph& g, const queries::QueryTuning& tuning,
                const std::vector<core::value_t>& sources) {
@@ -637,10 +630,10 @@ int main(int argc, char** argv) {
   const auto g = load_graph(args);
   std::cout << "graph '" << g.name << "': " << g.num_nodes << " nodes, " << g.num_edges()
             << " edges; " << args.ranks << " ranks\n";
-  if (args.nodes > 0 || args.schedule != "rd" || args.topology != "flat") {
+  if (args.nodes > 0 || args.topology != "flat") {
     std::cout << "topology: "
               << vmpi::Topology::grouped(args.ranks, args.nodes).describe(args.ranks)
-              << ", exchange " << args.topology << ", schedule " << args.schedule << "\n";
+              << ", exchange " << args.topology << "\n";
   }
 
   queries::QueryTuning tuning;

@@ -210,7 +210,7 @@ class StratumLoop {
         throw std::runtime_error("async engine: stratum exceeded max_rounds (" +
                                  std::to_string(cfg_.max_rounds) + ") local rounds");
       }
-      maybe_flush();
+      flush_all();
       profile_.end_iteration();
     }
     return any;
@@ -280,8 +280,8 @@ class StratumLoop {
     }
     auto& buf = stage_out_[out_idx * nranks_ + static_cast<std::size_t>(dst)];
     buf.insert(buf.end(), row.begin(), row.end());
-    if (cfg_.routing == AsyncRouting::kOwnerDirect &&
-        buf.size() >= cfg_.batch_rows * t->arity()) {
+    // Divide, never multiply: batch_rows * arity wraps for a huge batch.
+    if (buf.size() / t->arity() >= cfg_.batch_rows) {
       send_stage_bucket(out_idx, static_cast<std::size_t>(dst));
     }
   }
@@ -290,9 +290,7 @@ class StratumLoop {
                     std::size_t arity) {
     auto& buf = probe_out_[join_idx * nranks_ + dest];
     buf.insert(buf.end(), row.begin(), row.end());
-    if (cfg_.routing == AsyncRouting::kOwnerDirect && buf.size() >= cfg_.batch_rows * arity) {
-      send_probe_bucket(join_idx, dest);
-    }
+    if (buf.size() / arity >= cfg_.batch_rows) send_probe_bucket(join_idx, dest);
   }
 
   // -- outbound ---------------------------------------------------------------
@@ -337,21 +335,10 @@ class StratumLoop {
     buf.clear();
   }
 
-  void maybe_flush() {
-    ++stale_rounds_;
-    // max_staleness == 0 is rejected by validate_config before any loop
-    // starts (it used to be silently clamped to 1 here, which lied about
-    // the configuration actually in effect).
-    if (cfg_.routing == AsyncRouting::kDense || stale_rounds_ >= cfg_.max_staleness) {
-      flush_all();
-    }
-  }
-
   /// Ship everything buffered: one message per (kind, destination), frames
   /// for all routes concatenated — the same framing a router flush uses,
   /// minus the collective.
   void flush_all() {
-    stale_rounds_ = 0;
     const auto me = static_cast<std::size_t>(comm_.rank());
     for (std::size_t d = 0; d < nranks_; ++d) {
       if (d == me) continue;
@@ -490,7 +477,6 @@ class StratumLoop {
 
   std::uint64_t rounds_ = 0;
   std::uint64_t staged_total_ = 0;
-  std::size_t stale_rounds_ = 0;
   std::vector<int> dest_scratch_;
   Tuple head_scratch_;
   std::vector<value_t> rows_scratch_;  // decoded section rows
@@ -981,12 +967,6 @@ class SspStratumLoop {
 }  // namespace
 
 void AsyncEngine::validate_config(const AsyncConfig& cfg) {
-  if (cfg.max_staleness == 0) {
-    throw ConfigError(
-        "async engine: max_staleness = 0 describes no flush schedule (a buffered "
-        "row that may linger for zero rounds); use 1 for flush-every-round, or "
-        "ssp_staleness = 0 for the stale-synchronous lockstep mode");
-  }
   if (cfg.batch_rows == 0) {
     throw ConfigError("async engine: batch_rows = 0 — eager sends need a positive "
                       "row threshold");
@@ -1180,13 +1160,13 @@ core::StratumResult AsyncEngine::run_stratum(const core::Stratum& stratum) {
   loop_stats_.collective_calls_in_loop +=
       collective_calls(comm_->stats()) - collectives_before;
 
-  // Fence before the first post-loop collective.  The log-step collective
-  // schedules relay over the mailboxes, and a rank that learns of
-  // termination late is still parked in the loop's wildcard recv — it
-  // would swallow (and discard as stale) a relay frame from a peer that
-  // already moved on.  The barrier rides the slot matrix, not the
-  // mailboxes, so it is safe at any interleaving and guarantees every
-  // wildcard recv has retired before the first relay frame flies.
+  // Fence before the first post-loop collective.  The block allgather
+  // relays over the mailboxes, and a rank that learns of termination late
+  // is still parked in the loop's wildcard recv — it would swallow (and
+  // discard as stale) a relay frame from a peer that already moved on.
+  // The barrier is a generation counter that touches no mailbox, so it is
+  // safe at any interleaving and guarantees every wildcard recv has
+  // retired before the first relay frame flies.
   comm_->barrier();
 
   // ---- stratum summary (collective; doubles as the inter-stratum sync) -------

@@ -70,9 +70,9 @@
 namespace paralagg::async {
 
 /// Typed rejection for AsyncConfig values that cannot describe a run
-/// (max_staleness == 0, batch_rows == 0, ...).  A config error is the
-/// caller's flag mistake — distinct from UnsupportedProgramError, which
-/// indicts the program, not the knobs.
+/// (batch_rows == 0).  A config error is the caller's flag mistake —
+/// distinct from UnsupportedProgramError, which indicts the program, not
+/// the knobs.
 class ConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -86,27 +86,11 @@ class UnsupportedProgramError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// When buffered outbound rows are put on the wire.
-enum class AsyncRouting : std::uint8_t {
-  /// Flush every destination once per local round (densest messages, most
-  /// staleness) — the point-to-point analogue of the BSP router flush.
-  kDense,
-  /// Send to a destination as soon as its buffer reaches batch_rows rows
-  /// (eager, latency-oriented); stragglers go out with the round flush.
-  kOwnerDirect,
-};
-
 struct AsyncConfig {
-  AsyncRouting routing = AsyncRouting::kOwnerDirect;
-  /// Rows buffered per (relation, destination) before an eager send
-  /// (kOwnerDirect only).
+  /// Rows buffered per (relation, destination) before an eager send; every
+  /// productive local round flushes whatever is left below the threshold.
+  /// 0 is a ConfigError.
   std::size_t batch_rows = 128;
-  /// Local rounds an outbound row may linger before a forced full flush.
-  /// 1 = flush every round; larger values trade message count for
-  /// staleness (still sound: the lattice join is order-insensitive).
-  /// 0 is a ConfigError: a row that may linger for zero rounds describes
-  /// no schedule (it used to be silently clamped to 1).
-  std::size_t max_staleness = 1;
   /// Safety net against runaway local loops (mirrors EngineConfig's
   /// max_iterations; exceeding it aborts the world).
   std::size_t max_rounds = 1'000'000;
@@ -166,7 +150,7 @@ class AsyncEngine {
   static void check_supported(const core::Program& program, const AsyncConfig& cfg = {});
 
   /// Throws ConfigError on knob values that describe no schedule
-  /// (max_staleness == 0, batch_rows == 0).  run() calls this first.
+  /// (batch_rows == 0).  run() calls this first.
   static void validate_config(const AsyncConfig& cfg);
 
   /// Execute one stratum: init rules on the collective path, then the

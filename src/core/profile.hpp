@@ -66,12 +66,12 @@ struct IterationRecord {
   std::array<std::uint64_t, kPhaseCount> bytes{};      // remote bytes sent in phase
   /// Subset of `bytes` that crossed a node boundary under the configured
   /// vmpi::Topology (flat topology: equal to `bytes`).  The split is what
-  /// the hierarchical exchange and the schedule choice move.
+  /// the hierarchical exchange moves.
   std::array<std::uint64_t, kPhaseCount> cross_bytes{};
   std::array<std::uint64_t, kPhaseCount> exchanges{};  // collective exchange rounds in phase
   /// Schedule steps (latency-bearing rounds) the collectives in this phase
-  /// took: n-1 under kLinear, ceil(log2 n) under the log-step schedules, 3
-  /// for a hierarchical flush.  Steps x latency is the sync term of the
+  /// took: ceil(log2 n) per allreduce / allgather, 1 per dense alltoallv,
+  /// 3 for a hierarchical flush.  Steps x latency is the sync term of the
   /// modelled parallel time.
   std::array<std::uint64_t, kPhaseCount> steps{};
   /// Wall seconds parked in blocking communication during the phase
@@ -172,8 +172,8 @@ struct ProfileSummary {
   /// asserted.
   std::array<std::uint64_t, kPhaseCount> total_exchanges{};
   /// Σ over iterations of max-over-ranks schedule steps per phase — the
-  /// latency-bearing round count the log-step schedules shrink from O(n)
-  /// to O(log n).  Same max-guard rationale as total_exchanges.
+  /// latency-bearing round count (ceil(log2 n) per symmetric collective).
+  /// Same max-guard rationale as total_exchanges.
   std::array<std::uint64_t, kPhaseCount> total_steps{};
   /// Σ over ranks and iterations of wall seconds parked in blocking
   /// communication per phase — the exposed exchange latency (kAllToAll's
@@ -266,7 +266,7 @@ struct CostModel {
   /// byte costs cross_node_cost_ratio link-bytes, an intra-node byte one —
   /// and the synchronization term charges the *measured* schedule steps
   /// one collective_latency each instead of assuming a fixed collective
-  /// count per iteration.  This is the number the log-step schedules and
+  /// count per iteration.  This is the number the log-step collectives and
   /// the hierarchical exchange are designed to shrink.
   [[nodiscard]] double project_topology(const ProfileSummary& p) const {
     double total = 0;

@@ -451,30 +451,6 @@ bool Comm::iprobe(int src, int tag) {
                      [&](const detail::Message& m) { return matches(m, src, tag); });
 }
 
-std::vector<Bytes> Comm::exchange_slots(Bytes mine, Op op) {
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.record_call(op);
-    // Logically, this rank's contribution travels to size()-1 peers —
-    // classified per peer against the topology — in n-1 sequential steps
-    // (the linear schedule this refactor makes selectable-but-not-default).
-    for (int d = 0; d < size(); ++d) {
-      if (d == rank_) {
-        st.record_send(op, mine.size(), false, false);
-      } else {
-        st.record_send(op, mine.size(), true, !world_->topo_.same_node(rank_, d));
-      }
-    }
-    if (size() > 1) st.record_steps(op, static_cast<std::uint64_t>(size() - 1));
-  }
-
-  world_->slots_[static_cast<std::size_t>(rank_)] = std::move(mine);
-  timed_barrier_wait();
-  std::vector<Bytes> all(world_->slots_.begin(), world_->slots_.end());  // copies
-  timed_barrier_wait();
-  return all;
-}
-
 std::vector<Bytes> Comm::allgatherv(std::span<const std::byte> mine) {
   return gather_blocks(Bytes(mine.begin(), mine.end()), Op::kAllgather);
 }
@@ -500,19 +476,16 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
     out.push_back(std::move(mine));
     return out;
   }
-  const CollectiveSchedule sched = world_->schedule_;
   const bool pow2 = (n & (n - 1)) == 0;
-  if (sched == CollectiveSchedule::kLinear) return exchange_slots(std::move(mine), op);
 
-  // Log-step schedules run real point-to-point rounds over the mailboxes.
-  // Byte accounting is payload-only (the src/len relay envelope is the
-  // simulation's encoding, not modelled traffic): recursive doubling and
-  // swing ship 1 + 2 + ... + n/2 = n-1 blocks per rank, and dissemination
-  // truncates its last step to n - 2^floor(log2 n) blocks — so every
-  // schedule moves exactly n-1 blocks per rank and the remote byte totals
-  // match the linear baseline bit for bit.  Stats are recorded manually
-  // (call, per-partner locality, steps, exposed wait); the internal
-  // sends/recvs run under StatsPause so the p2p counters stay clean.
+  // Real point-to-point rounds over the mailboxes.  Byte accounting is
+  // payload-only (the src/len relay envelope is the simulation's encoding,
+  // not modelled traffic): recursive doubling ships 1 + 2 + ... + n/2 =
+  // n-1 blocks per rank, and dissemination truncates its last step to
+  // n - 2^floor(log2 n) blocks, so both move exactly n-1 blocks per rank.
+  // Stats are recorded manually (call, per-partner locality, steps,
+  // exposed wait); the internal sends/recvs run under StatsPause so the
+  // p2p counters stay clean.
   const bool record = stats_enabled_;
   const int tag_base =
       kSchedTagBase +
@@ -562,7 +535,7 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
         const auto src = r.get<std::int32_t>();
         const auto len = r.get<std::uint64_t>();
         if (src < 0 || src >= n || present[static_cast<std::size_t>(src)] != 0) {
-          throw std::logic_error("vmpi: scheduled collective relayed a bad block");
+          throw std::logic_error("vmpi: block allgather relayed a bad block");
         }
         auto& block = have[static_cast<std::size_t>(src)];
         block.resize(static_cast<std::size_t>(len));
@@ -579,25 +552,11 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
       return srcs;
     };
 
-    if (pow2 && sched == CollectiveSchedule::kRecursiveDoubling) {
+    if (pow2) {
       for (int k = 0; (1 << k) < n; ++k) {
         const int partner = rank_ ^ (1 << k);
         send_blocks(partner, held());
         recv_blocks(partner);
-        ++rounds;
-      }
-    } else if (pow2 && sched == CollectiveSchedule::kSwing) {
-      // Signed partner distance rho(k) = (1-(-2)^(k+1))/3 = 1,-1,3,-5,...
-      // (rho(k+1) = 1 - 2*rho(k)); even ranks step +rho, odd ranks -rho.
-      // Early steps pair nearby ranks, so under a grouped topology most
-      // blocks move on intra-node links before the long hops.
-      int rho = 1;
-      for (int k = 0; (1 << k) < n; ++k) {
-        const int step = (rank_ % 2 == 0) ? rho : -rho;
-        const int partner = ((rank_ + step) % n + n) % n;
-        send_blocks(partner, held());
-        recv_blocks(partner);
-        rho = 1 - 2 * rho;
         ++rounds;
       }
     } else {
@@ -621,7 +580,7 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
 
   for (int s = 0; s < n; ++s) {
     if (present[static_cast<std::size_t>(s)] == 0) {
-      throw std::logic_error("vmpi: scheduled collective finished incomplete");
+      throw std::logic_error("vmpi: block allgather finished incomplete");
     }
   }
   if (record) {
@@ -838,55 +797,6 @@ std::vector<Bytes> Comm::alltoallv_bruck(std::vector<Bytes> send) {
   // collective symmetry with the dense alltoallv.
   barrier();
   return out;
-}
-
-Comm::Split Comm::split(int color, int key) {
-  const auto epoch = split_epoch_++;
-
-  // Gather (color, key) from everyone; membership and ordering are then
-  // known identically on every rank.
-  struct ColorKey {
-    std::int32_t color;
-    std::int32_t key;
-  };
-  const auto all = allgather<ColorKey>(ColorKey{color, key});
-
-  std::vector<std::pair<std::pair<int, int>, int>> members;  // ((key, rank), rank)
-  for (int r = 0; r < size(); ++r) {
-    const auto& ck = all[static_cast<std::size_t>(r)];
-    if (ck.color == color) members.push_back({{ck.key, r}, r});
-  }
-  std::sort(members.begin(), members.end());
-  int my_new_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i].second == rank_) my_new_rank = static_cast<int>(i);
-  }
-  assert(my_new_rank >= 0);
-
-  // The group leader publishes the child world; everyone meets at a parent
-  // barrier before fetching it.
-  if (my_new_rank == 0) {
-    auto child = std::make_shared<World>(static_cast<int>(members.size()));
-    // The child inherits the parent's collective schedule; its topology
-    // stays flat (parent node boundaries do not map onto child ranks).
-    child->set_schedule(world_->schedule_);
-    std::lock_guard lock(world_->split_mu_);
-    world_->split_worlds_[{epoch, color}] = std::move(child);
-  }
-  barrier();
-  std::shared_ptr<World> child;
-  {
-    std::lock_guard lock(world_->split_mu_);
-    child = world_->split_worlds_.at({epoch, color});
-  }
-  barrier();
-  // Last fetcher cleans up the rendezvous entry (leader does it after the
-  // second barrier, when all members hold their shared_ptr).
-  if (my_new_rank == 0) {
-    std::lock_guard lock(world_->split_mu_);
-    world_->split_worlds_.erase({epoch, color});
-  }
-  return Split(std::move(child), my_new_rank);
 }
 
 }  // namespace paralagg::vmpi

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -266,12 +265,6 @@ class World {
   void set_topology(const Topology& topo) { topo_ = topo; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
-  /// Select the schedule the symmetric collectives run on (default:
-  /// recursive doubling).  Same bit-identical results on any schedule;
-  /// only step counts and byte locality differ.
-  void set_schedule(CollectiveSchedule s) { schedule_ = s; }
-  [[nodiscard]] CollectiveSchedule schedule() const { return schedule_; }
-
   /// Aggregate of all per-rank stats (call only after the ranks joined).
   [[nodiscard]] CommStats total_stats() const;
   [[nodiscard]] const CommStats& stats_of(int rank) const { return stats_[static_cast<std::size_t>(rank)]; }
@@ -283,7 +276,6 @@ class World {
   FaultPlan plan_;
   RetryPolicy retry_{};
   Topology topo_{};
-  CollectiveSchedule schedule_ = CollectiveSchedule::kRecursiveDoubling;
   double watchdog_seconds_ = 0;
   detail::Barrier barrier_;
   // Rendezvous for fault_reset: poison-immune counter/cv pair (the barrier
@@ -298,9 +290,6 @@ class World {
   std::vector<Bytes> matrix_;
   std::vector<detail::Mailbox> mailboxes_;
   std::vector<CommStats> stats_;
-  // Rendezvous for Comm::split: (split epoch, color) -> child world.
-  std::mutex split_mu_;
-  std::map<std::pair<std::uint64_t, int>, std::shared_ptr<World>> split_worlds_;
 };
 
 /// Per-rank communicator handle.  Exactly one per rank thread; not shared
@@ -330,7 +319,6 @@ class Comm {
   }
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
-  Comm(Comm&&) = default;
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return world_->size(); }
@@ -339,7 +327,6 @@ class Comm {
   [[nodiscard]] World& world() { return *world_; }
   [[nodiscard]] double watchdog_seconds() const { return world_->watchdog_seconds_; }
   [[nodiscard]] const Topology& topology() const { return world_->topo_; }
-  [[nodiscard]] CollectiveSchedule schedule() const { return world_->schedule_; }
 
   /// Record `bytes` moved toward `dst` under `op`, locality-classified
   /// against the world topology (self -> local, same node -> intra-node
@@ -469,9 +456,9 @@ class Comm {
   T allreduce(T local, ReduceOp op) {
     BufferWriter w(sizeof(T));
     w.put(local);
-    // Block allgather on the configured schedule, then a local fold in
-    // rank order: the deterministic reduction-order contract holds on
-    // every schedule because the fold never depends on arrival order.
+    // Block allgather, then a local fold in rank order: the deterministic
+    // reduction-order contract holds because the fold never depends on
+    // arrival order.
     auto all = gather_blocks(w.take(), Op::kAllreduce);
     T acc{};
     bool first = true;
@@ -510,8 +497,8 @@ class Comm {
   }
 
   /// allgather for CommStats, which the per-edge heal vectors make
-  /// non-trivially-copyable: byte-serialized over the same scheduled
-  /// collective, so accounting and determinism match allgather<T>.
+  /// non-trivially-copyable: byte-serialized over the same block
+  /// allgather, so accounting and determinism match allgather<T>.
   std::vector<CommStats> allgather_stats(const CommStats& mine) {
     auto all = gather_blocks(mine.to_bytes(), Op::kAllgather);
     std::vector<CommStats> out;
@@ -550,34 +537,18 @@ class Comm {
     return out;
   }
 
-  // -- communicator management ------------------------------------------------
-
-  /// MPI_Comm_split: ranks with the same `color` form a child communicator,
-  /// ordered by (key, parent rank).  Collective on the parent.  The
-  /// returned handle owns the child world; its stats are tracked
-  /// separately from the parent's.
-  class Split;
-  Split split(int color, int key);
-
  private:
-  /// Write `mine` into this rank's slot, barrier, copy out all slots,
-  /// barrier.  The kLinear building block for symmetric collectives,
-  /// modelled as n-1 sequential steps.
-  std::vector<Bytes> exchange_slots(Bytes mine, Op op);
-
-  /// Block allgather under the World's CollectiveSchedule: every rank
-  /// contributes one block and receives all n, indexed by rank.  kLinear
-  /// routes through exchange_slots; recursive doubling / swing run real
-  /// log-step point-to-point rounds over the mailboxes (dissemination for
-  /// non-power-of-two rank counts).  Accounting is payload-only — every
-  /// schedule ships exactly n-1 blocks per rank, so remote byte totals
-  /// are schedule-invariant; steps and locality are what differ.  The
-  /// relay legs model MPI's reliable transport underneath collectives:
-  /// they bypass fault injection (fault.hpp's scope note).
+  /// Block allgather: every rank contributes one block and receives all n,
+  /// indexed by rank, in ceil(log2 n) point-to-point rounds over the
+  /// mailboxes — recursive doubling for power-of-two rank counts,
+  /// dissemination otherwise.  Accounting is payload-only: both ship
+  /// exactly n-1 blocks per rank.  The relay legs model MPI's reliable
+  /// transport underneath collectives: they bypass fault injection
+  /// (fault.hpp's scope note).
   std::vector<Bytes> gather_blocks(Bytes mine, Op op);
 
   /// Direct mailbox enqueue: no fault injection, no stats — the reliable
-  /// substrate the scheduled collectives relay over.
+  /// substrate the block allgather relays over.
   void reliable_send(int dst, int tag, Bytes payload);
 
   /// arrive_and_wait with the parked wall time charged to wait_seconds,
@@ -622,8 +593,8 @@ class Comm {
   static constexpr std::uint64_t kBruckTagWindow = 1024;
   static constexpr int kBruckRoundsPerCall = 64;  // log2(nranks) bound
 
-  // Scheduled-collective relay tags (recursive doubling / swing /
-  // dissemination rounds), disjoint from the mailbox alltoallv (0x41A2....),
+  // Block-allgather relay tags (recursive doubling / dissemination
+  // rounds), disjoint from the mailbox alltoallv (0x41A2....),
   // Bruck (0x42......), async (0x51A5..../0x53AF....), and hierarchical
   // router (0x48A.....) spaces.  Rotated per call like the Bruck tags.
   static constexpr int kSchedTagBase = 0x44000000;
@@ -645,27 +616,12 @@ class Comm {
   World* world_;
   int rank_;
   bool stats_enabled_ = true;
-  std::uint64_t split_epoch_ = 0;
   std::uint64_t mailbox_seq_ = 0;
   std::uint64_t bruck_seq_ = 0;
   std::uint64_t sched_seq_ = 0;
   std::uint64_t epoch_ = 0;
   std::vector<EdgeState> edges_;  // sized lazily when a plan faults messages
   std::unique_ptr<ReliableChannel> channel_;  // engaged when the plan faults messages
-};
-
-/// Owning handle for a child communicator produced by Comm::split.
-class Comm::Split {
- public:
-  Split(std::shared_ptr<World> world, int rank)
-      : world_(std::move(world)), comm_(*world_, rank) {}
-
-  [[nodiscard]] Comm& comm() { return comm_; }
-  [[nodiscard]] const Comm& comm() const { return comm_; }
-
- private:
-  std::shared_ptr<World> world_;
-  Comm comm_;
 };
 
 /// RAII guard suspending byte accounting on a Comm.

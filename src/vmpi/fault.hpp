@@ -13,11 +13,10 @@
 // recv/drain, the mailbox alltoallv, the Bruck relay, and the
 // hierarchical router's intra-node legs all ride that path).  The
 // slot/matrix collectives (bcast, gather, dense alltoallv) and the
-// scheduled symmetric collectives (allreduce / allgather on any
-// CollectiveSchedule — their log-step relay rounds use a direct reliable
-// enqueue) model the reliable transport underneath MPI's collectives;
-// they are perturbed only indirectly, via the stall/kill epochs and the
-// watchdog.
+// symmetric collectives (allreduce / allgather — their recursive-doubling
+// or dissemination relay rounds use a direct reliable enqueue) model the
+// reliable transport underneath MPI's collectives; they are perturbed
+// only indirectly, via the stall/kill epochs and the watchdog.
 //
 // Failure surfacing is layered on top (see comm.hpp): a watchdog deadline
 // on every blocking wait converts the silent hang an injected fault would

@@ -33,7 +33,6 @@ CommStats run_collect(int nranks, const RunOptions& options,
   world.set_retry(options.retry);
   world.set_watchdog(options.watchdog_seconds);
   world.set_topology(options.topology);
-  world.set_schedule(options.schedule);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));

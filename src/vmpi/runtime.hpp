@@ -33,10 +33,6 @@ struct RunOptions {
   /// exchange (vmpi/topology.hpp).  Default: flat (every rank its own
   /// node, all remote traffic cross-node).
   Topology topology{};
-  /// Schedule for the symmetric collectives; results are bit-identical on
-  /// any choice.  Default: log-step recursive doubling (kLinear restores
-  /// the pre-topology O(n)-step slot model).
-  CollectiveSchedule schedule = CollectiveSchedule::kRecursiveDoubling;
 };
 
 /// Run `fn(comm)` on `nranks` ranks; blocks until all ranks return.

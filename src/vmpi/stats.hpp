@@ -64,10 +64,10 @@ struct CommStats {
   /// traffic into cheap intra-node and expensive cross-node shares — the
   /// quantity the hierarchical exchange exists to shrink.
   std::array<std::uint64_t, kOpCount> bytes_cross_node{};
-  /// Schedule steps (latency-bound rounds) per op: n-1 for the linear
-  /// collectives, ceil(log2 n) for recursive-doubling / swing /
-  /// dissemination and the Bruck relay, 1 for a dense alltoallv, 3 for the
-  /// hierarchical exchange (gather, leaders, scatter).
+  /// Schedule steps (latency-bound rounds) per op: ceil(log2 n) for the
+  /// recursive-doubling / dissemination collectives and the Bruck relay,
+  /// 1 for a dense alltoallv, 3 for the hierarchical exchange (gather,
+  /// leaders, scatter).
   std::array<std::uint64_t, kOpCount> steps{};
   std::array<std::uint64_t, kOpCount> calls{};
   std::uint64_t messages_sent = 0;      // p2p messages enqueued by isend

@@ -1,38 +1,11 @@
 #include "vmpi/topology.hpp"
 
-#include <stdexcept>
-
 namespace paralagg::vmpi {
-
-const char* schedule_name(CollectiveSchedule s) {
-  switch (s) {
-    case CollectiveSchedule::kLinear: return "linear";
-    case CollectiveSchedule::kRecursiveDoubling: return "rd";
-    case CollectiveSchedule::kSwing: return "swing";
-  }
-  return "?";
-}
-
-CollectiveSchedule parse_schedule(const std::string& name) {
-  if (name == "linear") return CollectiveSchedule::kLinear;
-  if (name == "rd" || name == "recursive-doubling") {
-    return CollectiveSchedule::kRecursiveDoubling;
-  }
-  if (name == "swing") return CollectiveSchedule::kSwing;
-  throw std::invalid_argument("unknown collective schedule '" + name +
-                              "' (expected linear | rd | swing)");
-}
 
 std::vector<int> Topology::node_members(int rank, int nranks) const {
   std::vector<int> out;
-  const int first = leader_of(rank);
+  const int first = node_base(rank);
   for (int r = first; r < first + node_size && r < nranks; ++r) out.push_back(r);
-  return out;
-}
-
-std::vector<int> Topology::leaders(int nranks) const {
-  std::vector<int> out;
-  for (int r = 0; r < nranks; r += node_size) out.push_back(r);
   return out;
 }
 
@@ -44,7 +17,7 @@ std::vector<int> Topology::elect_leaders(std::span<const std::uint64_t> loads) c
     int best = base;
     for (int r = base + 1; r < base + node_size && r < nranks; ++r) {
       // Strictly greater: equal loads keep the lower rank (deterministic,
-      // and degenerates to leader_of when every member reports the same).
+      // and elects node_base when every member reports the same).
       if (loads[static_cast<std::size_t>(r)] > loads[static_cast<std::size_t>(best)]) {
         best = r;
       }

@@ -15,8 +15,8 @@
 // bookkeeping — no data moves differently — but every byte the substrate
 // accounts is classified intra- vs cross-node against it, and the modelled
 // cost of a cross-node byte is `cross_cost_ratio` times an intra-node one.
-// Node leaders (the lowest rank of each node) are the aggregator ranks the
-// hierarchical exchange elects.
+// The hierarchical exchange aggregates each node on one member, elected
+// per flush by load (elect_leaders).
 //
 // The default (node_size = 1) is the flat fabric: every rank its own node,
 // every remote byte cross-node — bit-compatible with the pre-topology
@@ -29,31 +29,6 @@
 #include <vector>
 
 namespace paralagg::vmpi {
-
-/// Which schedule the symmetric collectives (allreduce / allgather /
-/// allgatherv) run on.  All schedules fold in rank order, so results are
-/// bit-identical; they differ in step count and in which links carry the
-/// blocks.
-enum class CollectiveSchedule : std::uint8_t {
-  /// The slot-exchange model: one synchronized phase, modelled as n-1
-  /// sequential steps (each rank's block visits every peer).  The
-  /// pre-topology behaviour, kept selectable as the baseline.
-  kLinear,
-  /// Recursive doubling: partner rank^2^k at step k, ceil(log2 n) steps.
-  /// Non-power-of-two rank counts fall back to the dissemination (Bruck)
-  /// schedule, same step count.  The default.
-  kRecursiveDoubling,
-  /// Swing: partner at signed distance rho(k) = (1-(-2)^(k+1))/3, so most
-  /// steps pair nearby ranks — fewer cross-node hops than recursive
-  /// doubling under a grouped topology, same ceil(log2 n) steps.  Falls
-  /// back to dissemination for non-power-of-two rank counts.
-  kSwing,
-};
-
-[[nodiscard]] const char* schedule_name(CollectiveSchedule s);
-
-/// Parse "linear" | "rd" | "swing"; throws std::invalid_argument otherwise.
-[[nodiscard]] CollectiveSchedule parse_schedule(const std::string& name);
 
 /// Rank-to-node grouping plus the modelled relative cost of crossing the
 /// node boundary.  Value type; a copy lives on the World.
@@ -71,25 +46,17 @@ struct Topology {
   [[nodiscard]] bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
   /// The first (lowest) rank of `rank`'s node — the contiguous block base.
   [[nodiscard]] int node_base(int rank) const { return node_of(rank) * node_size; }
-  /// The *default* aggregator (leader) of `rank`'s node: its lowest rank.
-  /// With per-rank loads in hand, use elect_leaders instead — the
-  /// hierarchical exchange does, so the member already holding the most
-  /// data aggregates in place instead of shipping it intra-node first.
-  [[nodiscard]] int leader_of(int rank) const { return node_base(rank); }
-  [[nodiscard]] bool is_leader(int rank) const { return leader_of(rank) == rank; }
   /// Load-based leader election: for each node, the member with the
   /// largest load wins; ties break to the lowest rank, so every rank
   /// folding the same load vector (e.g. from an allgather) elects
-  /// identically, and an all-equal vector reproduces leader_of.  Returns
+  /// identically, and an all-equal vector elects each node_base.  Returns
   /// one leader rank per node, node-indexed.  Pure function.
   [[nodiscard]] std::vector<int> elect_leaders(std::span<const std::uint64_t> loads) const;
   [[nodiscard]] int node_count(int nranks) const {
     return (nranks + node_size - 1) / node_size;
   }
-  /// Members of `rank`'s node, leader first (ascending rank order).
+  /// Members of `rank`'s node in ascending rank order.
   [[nodiscard]] std::vector<int> node_members(int rank, int nranks) const;
-  /// All node leaders, ascending.
-  [[nodiscard]] std::vector<int> leaders(int nranks) const;
 
   [[nodiscard]] bool flat() const { return node_size == 1; }
 

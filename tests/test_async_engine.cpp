@@ -1,9 +1,10 @@
 // AsyncEngine equivalence harness: the asynchronous schedule delivers
 // deltas stale and out of order, but because every supported aggregate is
 // an idempotent semilattice join the fixpoint must be BIT-IDENTICAL to the
-// BSP core::Engine's — across rank counts, routing modes, and sub-bucket
-// layouts.  Plus the negative space: programs the async schedule cannot
-// run soundly must be rejected up front with a clear diagnostic.
+// BSP core::Engine's — across rank counts, eager-send batch sizes, and
+// sub-bucket layouts.  Plus the negative space: programs the async
+// schedule cannot run soundly must be rejected up front with a clear
+// diagnostic.
 
 #include "async/async_engine.hpp"
 
@@ -15,6 +16,7 @@
 
 #include "queries/cc.hpp"
 #include "queries/pagerank.hpp"
+#include "queries/programs.hpp"
 #include "queries/sssp.hpp"
 #include "queries/tc.hpp"
 #include "vmpi/runtime.hpp"
@@ -25,8 +27,10 @@ namespace {
 using core::Expr;
 using queries::Tuple;
 
-const async::AsyncRouting kRoutings[] = {async::AsyncRouting::kDense,
-                                         async::AsyncRouting::kOwnerDirect};
+// A batch no buffer reaches: every row waits for the per-round flush.
+constexpr std::size_t kNeverEager = std::size_t{1} << 40;
+// The flush-only batch and the default eager one.
+const std::size_t kBatches[] = {kNeverEager, 128};
 
 TEST(AsyncEquivalence, SsspBitIdenticalAcrossRanksAndRouting) {
   const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 31});
@@ -48,19 +52,17 @@ TEST(AsyncEquivalence, SsspBitIdenticalAcrossRanksAndRouting) {
   ASSERT_FALSE(reference.empty());
 
   for (const int ranks : {1, 2, 5}) {
-    for (const auto routing : kRoutings) {
+    for (const std::size_t batch : kBatches) {
       vmpi::run(ranks, [&](vmpi::Comm& comm) {
         queries::SsspOptions opts;
         opts.sources = sources;
         opts.collect_distances = true;
         opts.tuning.use_async = true;
-        opts.tuning.async.routing = routing;
+        opts.tuning.async.batch_rows = batch;
         const auto r = run_sssp(comm, g, opts);
         if (comm.rank() == 0) {
-          EXPECT_EQ(r.path_count, ref_paths)
-              << "ranks=" << ranks << " dense=" << (routing == async::AsyncRouting::kDense);
-          EXPECT_EQ(r.distances, reference)
-              << "ranks=" << ranks << " dense=" << (routing == async::AsyncRouting::kDense);
+          EXPECT_EQ(r.path_count, ref_paths) << "ranks=" << ranks << " batch=" << batch;
+          EXPECT_EQ(r.distances, reference) << "ranks=" << ranks << " batch=" << batch;
         }
       });
     }
@@ -86,13 +88,13 @@ TEST(AsyncEquivalence, CcBitIdenticalIncludingSubBuckets) {
   struct Variant {
     int ranks;
     int sub_buckets;
-    async::AsyncRouting routing;
+    std::size_t batch_rows;
   };
   const Variant variants[] = {
-      {2, 1, async::AsyncRouting::kDense},
-      {2, 4, async::AsyncRouting::kOwnerDirect},  // sub-bucketed static side
-      {5, 1, async::AsyncRouting::kOwnerDirect},
-      {5, 4, async::AsyncRouting::kDense},
+      {2, 1, kNeverEager},
+      {2, 4, 128},  // sub-bucketed static side
+      {5, 1, 128},
+      {5, 4, kNeverEager},
   };
   for (const auto& v : variants) {
     vmpi::run(v.ranks, [&](vmpi::Comm& comm) {
@@ -100,7 +102,7 @@ TEST(AsyncEquivalence, CcBitIdenticalIncludingSubBuckets) {
       opts.collect_labels = true;
       opts.tuning.edge_sub_buckets = v.sub_buckets;
       opts.tuning.use_async = true;
-      opts.tuning.async.routing = v.routing;
+      opts.tuning.async.batch_rows = v.batch_rows;
       const auto r = run_cc(comm, g, opts);
       if (comm.rank() == 0) {
         EXPECT_EQ(r.component_count, ref_components)
@@ -125,52 +127,67 @@ TEST(AsyncEquivalence, TcBitIdenticalAcrossRanks) {
   ASSERT_FALSE(reference.empty());
 
   for (const int ranks : {2, 5}) {
-    for (const auto routing : kRoutings) {
+    for (const std::size_t batch : kBatches) {
       vmpi::run(ranks, [&](vmpi::Comm& comm) {
         queries::TcOptions opts;
         opts.collect_pairs = true;
         opts.tuning.use_async = true;
-        opts.tuning.async.routing = routing;
+        opts.tuning.async.batch_rows = batch;
         const auto r = run_tc(comm, g, opts);
         if (comm.rank() == 0) {
-          EXPECT_EQ(r.pairs, reference)
-              << "ranks=" << ranks << " dense=" << (routing == async::AsyncRouting::kDense);
+          EXPECT_EQ(r.pairs, reference) << "ranks=" << ranks << " batch=" << batch;
         }
       });
     }
   }
 }
 
-TEST(AsyncEquivalence, BatchAndStalenessKnobsDoNotChangeAnswers) {
+TEST(AsyncEquivalence, BatchSizeDoesNotChangeAnswers) {
   const auto g = graph::make_grid(8, 8, 7, 34);
   std::vector<Tuple> reference;
-  struct Knobs {
-    std::size_t batch_rows;
-    std::size_t max_staleness;
-  };
-  const Knobs knobs[] = {{1, 1}, {128, 1}, {16, 4}, {4096, 8}};
   bool have_reference = false;
-  for (const auto& k : knobs) {
+  for (const std::size_t batch : {1, 128, 16, 4096}) {
     vmpi::run(3, [&](vmpi::Comm& comm) {
       queries::SsspOptions opts;
       opts.sources = {0};
       opts.collect_distances = true;
       opts.tuning.use_async = true;
-      opts.tuning.async.batch_rows = k.batch_rows;
-      opts.tuning.async.max_staleness = k.max_staleness;
+      opts.tuning.async.batch_rows = batch;
       const auto r = run_sssp(comm, g, opts);
       if (comm.rank() == 0) {
         if (!have_reference) {
           reference = r.distances;
         } else {
-          EXPECT_EQ(r.distances, reference)
-              << "batch=" << k.batch_rows << " staleness=" << k.max_staleness;
+          EXPECT_EQ(r.distances, reference) << "batch=" << batch;
         }
       }
     });
     have_reference = true;
   }
   EXPECT_FALSE(reference.empty());
+}
+
+TEST(AsyncEngine, HugeBatchBuffersRowsUntilTheRoundFlush) {
+  // The eager-send test must not multiply batch_rows by the arity: 2^63
+  // rows of CC's arity-2 relations wrapped that product to 0, and every
+  // row then shipped as a frame of its own.
+  const auto g = graph::make_rmat({.scale = 7, .edge_factor = 4, .seed = 39});
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    auto p = queries::build_cc_program(comm);
+    queries::load_cc_facts(p, g);
+    async::AsyncConfig cfg;
+    cfg.batch_rows = std::size_t{1} << 63;
+    async::AsyncEngine engine(comm, cfg);
+    (void)engine.run(*p.program);
+    const auto& ls = engine.loop_stats();
+    const auto sum = [&](std::uint64_t v) {
+      return comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kSum);
+    };
+    const auto messages = sum(ls.messages_sent);
+    const auto rows = sum(ls.stage_rows_sent + ls.probe_rows_sent);
+    EXPECT_GT(messages, 0u);
+    EXPECT_LT(messages, rows);
+  });
 }
 
 // Direct-engine run (the query wrappers hide loop_stats): a small SSSP so
@@ -279,15 +296,10 @@ TEST(AsyncRejection, NonIdempotentAggregateInFixpointLoop) {
   });
 }
 
-TEST(AsyncConfigValidation, ZeroStalenessAndZeroBatchAreTypedErrors) {
-  // max_staleness = 0 used to be silently clamped to 1 — a lying knob.  It
-  // is now a typed ConfigError (distinct from UnsupportedProgramError: the
-  // flags are wrong, not the program).  Honest lockstep is spelled
-  // ssp_staleness = 0, which stays legal.
-  async::AsyncConfig zero_staleness;
-  zero_staleness.max_staleness = 0;
-  EXPECT_THROW(async::AsyncEngine::validate_config(zero_staleness), async::ConfigError);
-
+TEST(AsyncConfigValidation, ZeroBatchIsATypedError) {
+  // A zero-row batch is a typed ConfigError (distinct from
+  // UnsupportedProgramError: the flags are wrong, not the program).
+  // Honest SSP lockstep is spelled ssp_staleness = 0, which stays legal.
   async::AsyncConfig zero_batch;
   zero_batch.batch_rows = 0;
   EXPECT_THROW(async::AsyncEngine::validate_config(zero_batch), async::ConfigError);
@@ -303,7 +315,7 @@ TEST(AsyncConfigValidation, ZeroStalenessAndZeroBatchAreTypedErrors) {
     queries::SsspOptions opts;
     opts.sources = {0};
     opts.tuning.use_async = true;
-    opts.tuning.async.max_staleness = 0;
+    opts.tuning.async.batch_rows = 0;
     EXPECT_THROW(run_sssp(comm, g, opts), async::ConfigError);
   });
 }

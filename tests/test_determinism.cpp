@@ -142,19 +142,18 @@ TEST(Determinism, ProfileSummaryIdenticalOnAllRanks) {
   });
 }
 
-TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
-  // The topology refactor's core invariant: node grouping, collective
-  // schedule, and exchange routing are pure communication choices — every
-  // combination must reach the bit-identical fixpoint because all folds
-  // stay in rank order and the hierarchical pre-merge uses the same
-  // deterministic aggregator as the dense path.
+TEST(Determinism, FixpointsIdenticalAcrossExchangesAndTopologies) {
+  // The topology refactor's core invariant: node grouping and exchange
+  // routing are pure communication choices — every combination must
+  // reach the bit-identical fixpoint because all folds stay in rank order
+  // and the hierarchical pre-merge uses the same deterministic aggregator
+  // as the dense path.
   const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 29});
   const auto sources = g.pick_sources(2);
   constexpr int kRanks = 8;
 
   struct Variant {
     const char* name;
-    vmpi::CollectiveSchedule schedule;
     int nodes;  // 0 -> flat topology
     core::ExchangeAlgorithm exchange;
     std::uint64_t skew_threshold;  // 0 -> hybrid skew plans off
@@ -163,22 +162,12 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
   // (and churn) on an ordinary graph — the hybrid routing must still land on
   // the same fixpoint bit for bit.
   const Variant variants[] = {
-      {"linear/flat/dense", vmpi::CollectiveSchedule::kLinear, 0,
-       core::ExchangeAlgorithm::kDense, 0},
-      {"rd/flat/dense", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
-       core::ExchangeAlgorithm::kDense, 0},
-      {"swing/flat/dense", vmpi::CollectiveSchedule::kSwing, 0,
-       core::ExchangeAlgorithm::kDense, 0},
-      {"rd/flat/bruck", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
-       core::ExchangeAlgorithm::kBruck, 0},
-      {"rd/2x4/hier", vmpi::CollectiveSchedule::kRecursiveDoubling, 2,
-       core::ExchangeAlgorithm::kHierarchical, 0},
-      {"swing/4x2/hier", vmpi::CollectiveSchedule::kSwing, 4,
-       core::ExchangeAlgorithm::kHierarchical, 0},
-      {"rd/flat/dense+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
-       core::ExchangeAlgorithm::kDense, 16},
-      {"swing/4x2/hier+skew", vmpi::CollectiveSchedule::kSwing, 4,
-       core::ExchangeAlgorithm::kHierarchical, 16},
+      {"flat/dense", 0, core::ExchangeAlgorithm::kDense, 0},
+      {"flat/bruck", 0, core::ExchangeAlgorithm::kBruck, 0},
+      {"2x4/hier", 2, core::ExchangeAlgorithm::kHierarchical, 0},
+      {"4x2/hier", 4, core::ExchangeAlgorithm::kHierarchical, 0},
+      {"flat/dense+skew", 0, core::ExchangeAlgorithm::kDense, 16},
+      {"4x2/hier+skew", 4, core::ExchangeAlgorithm::kHierarchical, 16},
   };
 
   // reference[q] from the first variant; later variants must match.
@@ -186,7 +175,6 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
   bool have_reference = false;
   for (const auto& v : variants) {
     vmpi::RunOptions options;
-    options.schedule = v.schedule;
     options.topology = vmpi::Topology::grouped(kRanks, v.nodes);
     std::vector<Tuple> got[4];
     vmpi::run(kRanks, options, [&](vmpi::Comm& comm) {

@@ -1,19 +1,21 @@
-// Topology model, log-step collective schedules, and the hierarchical
+// Topology model, the log-step symmetric collectives, and the hierarchical
 // two-level exchange.
 //
 // The contracts under test: (1) the Topology partition arithmetic and the
-// schedule parser; (2) allreduce/allgather results AND payload-byte totals
-// are schedule-invariant (only steps and the intra/cross locality split
-// may move); (3) the hierarchical router reaches the bit-identical staged
-// state of the dense exchange while shipping strictly fewer cross-node
-// bytes, with the back-to-back-flush and ragged-node edge cases intact.
+// load election; (2) allreduce/allgather results are exact at every rank
+// count, each rank ships exactly n-1 payload blocks in ceil(log2 n) steps
+// (recursive doubling, or dissemination off powers of two), and the
+// locality split follows the partners; (3) the hierarchical router reaches
+// the bit-identical staged state of the dense exchange while shipping
+// strictly fewer cross-node bytes, with the back-to-back-flush and
+// ragged-node edge cases intact.
 
 #include "vmpi/topology.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/exchange_router.hpp"
@@ -30,7 +32,6 @@ using core::Relation;
 using core::RouterFlushStats;
 using core::Tuple;
 using core::value_t;
-using vmpi::CollectiveSchedule;
 using vmpi::Comm;
 using vmpi::CommStats;
 using vmpi::Op;
@@ -45,8 +46,7 @@ TEST(Topology, FlatDefaultMakesEveryRankItsOwnNode) {
   EXPECT_EQ(t.node_size, 1);
   for (int r = 0; r < 5; ++r) {
     EXPECT_EQ(t.node_of(r), r);
-    EXPECT_EQ(t.leader_of(r), r);
-    EXPECT_TRUE(t.is_leader(r));
+    EXPECT_EQ(t.node_base(r), r);
   }
   EXPECT_FALSE(t.same_node(0, 1));
   EXPECT_EQ(t.node_count(5), 5);
@@ -59,12 +59,11 @@ TEST(Topology, GroupedPartitionsContiguously) {
   EXPECT_EQ(t.node_of(0), 0);
   EXPECT_EQ(t.node_of(7), 0);
   EXPECT_EQ(t.node_of(8), 1);
-  EXPECT_EQ(t.leader_of(13), 8);
-  EXPECT_TRUE(t.is_leader(24));
-  EXPECT_FALSE(t.is_leader(25));
+  EXPECT_EQ(t.node_base(13), 8);
+  EXPECT_EQ(t.node_base(24), 24);
+  EXPECT_EQ(t.node_base(25), 24);
   EXPECT_TRUE(t.same_node(16, 23));
   EXPECT_FALSE(t.same_node(15, 16));
-  EXPECT_EQ(t.leaders(32), (std::vector<int>{0, 8, 16, 24}));
   EXPECT_EQ(t.node_members(13, 32), (std::vector<int>{8, 9, 10, 11, 12, 13, 14, 15}));
 }
 
@@ -73,7 +72,7 @@ TEST(Topology, GroupedHandlesRaggedAndDegenerateShapes) {
   const Topology ragged = Topology::grouped(10, 3);
   EXPECT_EQ(ragged.node_size, 4);
   EXPECT_EQ(ragged.node_count(10), 3);
-  EXPECT_EQ(ragged.leaders(10), (std::vector<int>{0, 4, 8}));
+  EXPECT_EQ(ragged.node_base(9), 8);
   EXPECT_EQ(ragged.node_members(9, 10), (std::vector<int>{8, 9}));
 
   // Degenerate requests collapse to flat.
@@ -94,9 +93,9 @@ TEST(Topology, ElectLeadersPicksHeaviestMemberWithDeterministicTies) {
   const std::vector<std::uint64_t> tied{3, 9, 9, 0, 4, 4, 4, 4};
   EXPECT_EQ(t.elect_leaders(tied), (std::vector<int>{1, 4}));
 
-  // All-equal degenerates to the static lowest-rank leaders.
+  // All-equal degenerates to each node's lowest rank.
   const std::vector<std::uint64_t> flat(8, 5);
-  EXPECT_EQ(t.elect_leaders(flat), t.leaders(8));
+  EXPECT_EQ(t.elect_leaders(flat), (std::vector<int>{0, 4}));
 
   // Ragged last node: the election respects the short member range.
   const Topology r = Topology::grouped(5, 2);  // nodes {0,1,2}, {3,4}
@@ -104,128 +103,78 @@ TEST(Topology, ElectLeadersPicksHeaviestMemberWithDeterministicTies) {
   EXPECT_EQ(r.elect_leaders(ragged_loads), (std::vector<int>{2, 4}));
 }
 
-TEST(Topology, ParseScheduleNamesRoundTrip) {
-  EXPECT_EQ(vmpi::parse_schedule("linear"), CollectiveSchedule::kLinear);
-  EXPECT_EQ(vmpi::parse_schedule("rd"), CollectiveSchedule::kRecursiveDoubling);
-  EXPECT_EQ(vmpi::parse_schedule("recursive-doubling"),
-            CollectiveSchedule::kRecursiveDoubling);
-  EXPECT_EQ(vmpi::parse_schedule("swing"), CollectiveSchedule::kSwing);
-  EXPECT_THROW((void)vmpi::parse_schedule("hypercube"), std::invalid_argument);
-  for (const auto s : {CollectiveSchedule::kLinear, CollectiveSchedule::kRecursiveDoubling,
-                       CollectiveSchedule::kSwing}) {
-    EXPECT_EQ(vmpi::parse_schedule(vmpi::schedule_name(s)), s);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Schedule equivalence: same results, same payload bytes, fewer steps
+// Log-step collectives: exact results, n-1 payload blocks, ceil(log2 n) steps
 // ---------------------------------------------------------------------------
 
-vmpi::RunOptions with_schedule(CollectiveSchedule s, Topology topo = Topology{}) {
+vmpi::RunOptions with_topology(Topology topo) {
   vmpi::RunOptions o;
-  o.schedule = s;
   o.topology = topo;
   return o;
 }
 
-TEST(Schedules, CollectivesIdenticalAcrossSchedulesAndSizes) {
-  // Power-of-two sizes exercise recursive doubling and swing; the rest
-  // exercise the capped dissemination fallback.  The reduction order is
-  // contractually rank order, so every schedule must agree bit for bit.
+TEST(Collectives, IdenticalAcrossSizes) {
+  // Power-of-two sizes exercise recursive doubling; the rest exercise the
+  // capped dissemination fallback.  The reduction order is contractually
+  // rank order, so every size must reduce bit for bit.
   for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 16}) {
-    for (const auto sched : {CollectiveSchedule::kLinear,
-                             CollectiveSchedule::kRecursiveDoubling,
-                             CollectiveSchedule::kSwing}) {
-      SCOPED_TRACE(std::string(vmpi::schedule_name(sched)) + " n=" + std::to_string(n));
-      vmpi::run(n, with_schedule(sched), [&](Comm& comm) {
-        const auto r = static_cast<std::uint64_t>(comm.rank());
-        const auto sum = comm.allreduce<std::uint64_t>(r + 1, vmpi::ReduceOp::kSum);
-        EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (static_cast<std::uint64_t>(n) + 1) / 2);
-        const auto mn = comm.allreduce<std::uint64_t>(r + 10, vmpi::ReduceOp::kMin);
-        EXPECT_EQ(mn, 10u);
-        const auto gathered = comm.allgather<std::uint64_t>(r * r);
-        ASSERT_EQ(gathered.size(), static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          EXPECT_EQ(gathered[static_cast<std::size_t>(i)],
-                    static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(i));
-        }
-      });
-    }
-  }
-}
-
-TEST(Schedules, PayloadByteTotalsAreScheduleInvariant) {
-  // Every schedule ships exactly n-1 blocks per rank (recursive doubling
-  // and swing by the power-of-two doubling argument, dissemination by the
-  // send-count cap), so the accounted remote bytes must not move at all.
-  for (const int n : {3, 8}) {
-    for (const auto sched : {CollectiveSchedule::kLinear,
-                             CollectiveSchedule::kRecursiveDoubling,
-                             CollectiveSchedule::kSwing}) {
-      SCOPED_TRACE(std::string(vmpi::schedule_name(sched)) + " n=" + std::to_string(n));
-      std::vector<CommStats> per_rank;
-      vmpi::run_collect(
-          n, with_schedule(sched),
-          [&](Comm& comm) {
-            (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
-            (void)comm.allgather<std::uint64_t>(2);
-          },
-          per_rank);
-      for (const auto& st : per_rank) {
-        EXPECT_EQ(st.remote_bytes(Op::kAllreduce),
-                  (static_cast<std::uint64_t>(n) - 1) * sizeof(std::uint64_t));
-        EXPECT_EQ(st.remote_bytes(Op::kAllgather),
-                  (static_cast<std::uint64_t>(n) - 1) * sizeof(std::uint64_t));
+    SCOPED_TRACE("n=" + std::to_string(n));
+    vmpi::run(n, [&](Comm& comm) {
+      const auto r = static_cast<std::uint64_t>(comm.rank());
+      const auto sum = comm.allreduce<std::uint64_t>(r + 1, vmpi::ReduceOp::kSum);
+      EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (static_cast<std::uint64_t>(n) + 1) / 2);
+      const auto mn = comm.allreduce<std::uint64_t>(r + 10, vmpi::ReduceOp::kMin);
+      EXPECT_EQ(mn, 10u);
+      const auto gathered = comm.allgather<std::uint64_t>(r * r);
+      ASSERT_EQ(gathered.size(), static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(gathered[static_cast<std::size_t>(i)],
+                  static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(i));
       }
-    }
+    });
   }
 }
 
-TEST(Schedules, LogStepSchedulesRecordLogarithmicSteps) {
-  struct Expect {
-    CollectiveSchedule sched;
-    std::uint64_t steps;  // per collective call at n = 8
-  };
-  const Expect expectations[] = {
-      {CollectiveSchedule::kLinear, 7},
-      {CollectiveSchedule::kRecursiveDoubling, 3},
-      {CollectiveSchedule::kSwing, 3},
-  };
-  for (const auto& e : expectations) {
-    SCOPED_TRACE(vmpi::schedule_name(e.sched));
+TEST(Collectives, EveryRankShipsNMinusOneBlocks) {
+  // Recursive doubling ships n-1 blocks per rank by the power-of-two
+  // doubling argument, dissemination by its send-count cap.
+  for (const int n : {3, 8}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
     std::vector<CommStats> per_rank;
     vmpi::run_collect(
-        8, with_schedule(e.sched),
+        n,
         [&](Comm& comm) {
           (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
           (void)comm.allgather<std::uint64_t>(2);
         },
         per_rank);
     for (const auto& st : per_rank) {
-      EXPECT_EQ(st.steps_of(Op::kAllreduce), e.steps);
-      EXPECT_EQ(st.steps_of(Op::kAllgather), e.steps);
+      EXPECT_EQ(st.remote_bytes(Op::kAllreduce),
+                (static_cast<std::uint64_t>(n) - 1) * sizeof(std::uint64_t));
+      EXPECT_EQ(st.remote_bytes(Op::kAllgather),
+                (static_cast<std::uint64_t>(n) - 1) * sizeof(std::uint64_t));
     }
   }
-  // Non-power-of-two under a log-step schedule: dissemination fallback,
-  // still ceil(log2 n) steps (n = 6 -> 3 rounds).
-  std::vector<CommStats> per_rank;
-  vmpi::run_collect(
-      6, with_schedule(CollectiveSchedule::kRecursiveDoubling),
-      [&](Comm& comm) { (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum); },
-      per_rank);
-  for (const auto& st : per_rank) EXPECT_EQ(st.steps_of(Op::kAllreduce), 3u);
 }
 
-TEST(Schedules, SplitChildWorldsInheritTheSchedule) {
-  std::vector<CommStats> per_rank;
-  vmpi::run_collect(
-      4, with_schedule(CollectiveSchedule::kLinear),
-      [&](Comm& comm) {
-        auto child = comm.split(comm.rank() % 2, comm.rank());
-        (void)child.comm().allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
-        EXPECT_EQ(child.comm().schedule(), CollectiveSchedule::kLinear);
-      },
-      per_rank);
+TEST(Collectives, RecordLogarithmicSteps) {
+  // n = 8 runs recursive doubling, n = 6 the dissemination fallback: both
+  // take ceil(log2 n) = 3 steps per call.
+  for (const int n : {8, 6}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<CommStats> per_rank;
+    vmpi::run_collect(
+        n,
+        [&](Comm& comm) {
+          (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
+          (void)comm.allgather<std::uint64_t>(2);
+        },
+        per_rank);
+    for (const auto& st : per_rank) {
+      EXPECT_EQ(st.steps_of(Op::kAllreduce), 3u);
+      EXPECT_EQ(st.steps_of(Op::kAllgather), 3u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -233,33 +182,42 @@ TEST(Schedules, SplitChildWorldsInheritTheSchedule) {
 // ---------------------------------------------------------------------------
 
 TEST(Stats, CollectiveKindsSplitIntraVsCrossNodeBytes) {
-  // 4 ranks on 2 nodes of 2.  Under the linear slot schedule every rank
-  // sends its 8-byte block to all 3 peers: one shares the node (8 bytes
-  // intra), two do not (16 bytes cross).  An alltoallv with 16-byte
-  // buffers splits the same way: 16 intra, 32 cross.
-  std::vector<CommStats> per_rank;
-  vmpi::run_collect(
-      4, with_schedule(CollectiveSchedule::kLinear, Topology::grouped(4, 2)),
-      [&](Comm& comm) {
-        (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
-        (void)comm.allgather<std::uint64_t>(2);
-        std::vector<std::vector<std::uint64_t>> send(4);
-        for (auto& s : send) s = {1, 2};
-        (void)comm.alltoallv_t(send);
-      },
-      per_rank);
-  for (const auto& st : per_rank) {
-    for (const Op op : {Op::kAllreduce, Op::kAllgather}) {
-      EXPECT_EQ(st.remote_bytes(op), 24u);
-      EXPECT_EQ(st.cross_node_bytes(op), 16u);
-      EXPECT_EQ(st.intra_node_bytes(op), 8u);
+  // Recursive doubling pairs rank r with r^2^k at step k, shipping 2^k
+  // 8-byte blocks.  On 2 nodes of 2 (4 ranks) step 0 stays on the node
+  // (8 bytes intra) and step 1 crosses (16 bytes cross); on 2 nodes of 4
+  // (8 ranks) steps 0-1 stay (8 + 16 = 24 intra) and step 2 crosses (32).
+  // An alltoallv with 16-byte buffers splits by peer: 16 per peer on the
+  // node, 16 per peer off it.
+  struct Case {
+    int ranks;
+    std::uint64_t coll_intra, coll_cross, a2a_intra, a2a_cross;
+  };
+  for (const Case c : {Case{4, 8, 16, 16, 32}, Case{8, 24, 32, 48, 64}}) {
+    SCOPED_TRACE("ranks=" + std::to_string(c.ranks));
+    std::vector<CommStats> per_rank;
+    vmpi::run_collect(
+        c.ranks, with_topology(Topology::grouped(c.ranks, 2)),
+        [&](Comm& comm) {
+          (void)comm.allreduce<std::uint64_t>(1, vmpi::ReduceOp::kSum);
+          (void)comm.allgather<std::uint64_t>(2);
+          std::vector<std::vector<std::uint64_t>> send(static_cast<std::size_t>(c.ranks));
+          for (auto& s : send) s = {1, 2};
+          (void)comm.alltoallv_t(send);
+        },
+        per_rank);
+    for (const auto& st : per_rank) {
+      for (const Op op : {Op::kAllreduce, Op::kAllgather}) {
+        EXPECT_EQ(st.remote_bytes(op), c.coll_intra + c.coll_cross);
+        EXPECT_EQ(st.cross_node_bytes(op), c.coll_cross);
+        EXPECT_EQ(st.intra_node_bytes(op), c.coll_intra);
+      }
+      EXPECT_EQ(st.remote_bytes(Op::kAlltoallv), c.a2a_intra + c.a2a_cross);
+      EXPECT_EQ(st.cross_node_bytes(Op::kAlltoallv), c.a2a_cross);
+      EXPECT_EQ(st.intra_node_bytes(Op::kAlltoallv), c.a2a_intra);
+      EXPECT_EQ(st.total_cross_node_bytes(),
+                st.cross_node_bytes(Op::kAllreduce) + st.cross_node_bytes(Op::kAllgather) +
+                    st.cross_node_bytes(Op::kAlltoallv));
     }
-    EXPECT_EQ(st.remote_bytes(Op::kAlltoallv), 48u);
-    EXPECT_EQ(st.cross_node_bytes(Op::kAlltoallv), 32u);
-    EXPECT_EQ(st.intra_node_bytes(Op::kAlltoallv), 16u);
-    EXPECT_EQ(st.total_cross_node_bytes(),
-              st.cross_node_bytes(Op::kAllreduce) + st.cross_node_bytes(Op::kAllgather) +
-                  st.cross_node_bytes(Op::kAlltoallv));
   }
 }
 
@@ -327,8 +285,7 @@ std::vector<Tuple> run_min_flush(int ranks, const vmpi::RunOptions& options,
 
 TEST(HierarchicalExchange, MatchesDenseFixpointWithFewerCrossNodeBytes) {
   const int ranks = 8;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
+  const auto options = with_topology(Topology::grouped(ranks, 2));
   std::vector<CommStats> dense_stats, hier_stats;
   std::vector<RouterFlushStats> hier_flush;
   const auto dense = run_min_flush(ranks, options, ExchangeAlgorithm::kDense, &dense_stats);
@@ -347,12 +304,11 @@ TEST(HierarchicalExchange, MatchesDenseFixpointWithFewerCrossNodeBytes) {
   // leaders-only exchange, so cross-node volume must drop strictly.
   EXPECT_LT(sum_cross(hier_stats), sum_cross(dense_stats));
 
-  // The node merge really fired, on leaders only.
-  const Topology topo = Topology::grouped(ranks, 2);
+  // The node merge really fired, on elected leaders only.
   std::uint64_t merged = 0;
   for (int r = 0; r < ranks; ++r) {
     const auto& st = hier_flush[static_cast<std::size_t>(r)];
-    if (!topo.is_leader(r)) {
+    if (st.elected_leader != r) {
       EXPECT_EQ(st.rows_node_merged, 0u) << "rank " << r;
     }
     merged += st.rows_node_merged;
@@ -371,8 +327,7 @@ TEST(HierarchicalExchange, RaggedNodesAndEveryRowCountSurvive) {
   // 5 ranks on 2 nodes: node {0,1,2} and node {3,4} — the short last node
   // exercises the member-index arithmetic on both legs.
   const int ranks = 5;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
+  const auto options = with_topology(Topology::grouped(ranks, 2));
   std::vector<CommStats> dense_stats, hier_stats;
   const auto dense = run_min_flush(ranks, options, ExchangeAlgorithm::kDense, &dense_stats);
   const auto hier =
@@ -398,8 +353,7 @@ TEST(HierarchicalExchange, FlatTopologyDegradesToDense) {
 }
 
 TEST(HierarchicalExchange, BackToBackFlushesEachStageTheirOwnRow) {
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(4, 2));
+  const auto options = with_topology(Topology::grouped(4, 2));
   vmpi::run(4, options, [&](Comm& comm) {
     Relation rel(comm, {.name = "bb", .arity = 3, .jcc = 1});
     RankProfile profile;
@@ -432,8 +386,7 @@ TEST(HierarchicalExchange, HeaviestMemberAggregatesItsNode) {
   // crosses the intra-node wire.  Node {2,3} stays symmetric and keeps
   // its lowest rank.  The fixpoint must be dense-identical either way.
   const int ranks = 4;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
+  const auto options = with_topology(Topology::grouped(ranks, 2));
   const auto leg = [&](ExchangeAlgorithm algo, std::vector<RouterFlushStats>* flush) {
     std::vector<Tuple> rows;
     if (flush != nullptr) flush->assign(static_cast<std::size_t>(ranks), {});
@@ -475,7 +428,7 @@ TEST(HierarchicalExchange, HeaviestMemberAggregatesItsNode) {
   // The skewed node elects its heavier, non-lowest member...
   EXPECT_EQ(flush[0].elected_leader, 1);
   EXPECT_EQ(flush[1].elected_leader, 1);
-  // ... and the node merge runs there, not on the static leader.
+  // ... and the node merge runs there, not on the node's lowest rank.
   EXPECT_EQ(flush[0].rows_node_merged, 0u);
   EXPECT_GT(flush[1].rows_node_merged, 0u);
   // The symmetric node ties and keeps its lowest rank.

@@ -622,45 +622,6 @@ TEST(MailboxAlltoallv, AllEmptySendsCompleteWithoutTraffic) {
   }
 }
 
-TEST(Split, GroupsByColorOrderedByKey) {
-  run(8, [&](Comm& comm) {
-    // Even ranks -> color 0, odd -> color 1; key reverses the rank order.
-    const int color = comm.rank() % 2;
-    auto sub = comm.split(color, /*key=*/-comm.rank());
-    EXPECT_EQ(sub.comm().size(), 4);
-    // Reversed key: parent rank 6 becomes sub-rank 1 of color 0, etc.
-    const int expected = (comm.size() - 2 - (comm.rank() - color)) / 2;
-    EXPECT_EQ(sub.comm().rank(), expected);
-  });
-}
-
-TEST(Split, SubCommunicatorCollectivesAreIsolated) {
-  run(6, [&](Comm& comm) {
-    const int color = comm.rank() < 2 ? 0 : 1;  // groups of 2 and 4
-    auto sub = comm.split(color, comm.rank());
-    const auto sum = sub.comm().allreduce<std::uint64_t>(1, ReduceOp::kSum);
-    EXPECT_EQ(sum, color == 0 ? 2u : 4u);
-    // Group-local gather sees only group members.
-    const auto all = sub.comm().allgather<std::uint64_t>(
-        static_cast<std::uint64_t>(comm.rank()));
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(sub.comm().size()));
-    for (const auto v : all) {
-      EXPECT_EQ(color == 0 ? v < 2 : v >= 2, true);
-    }
-    comm.barrier();  // parent still usable afterwards
-  });
-}
-
-TEST(Split, RepeatedSplitsDoNotCollide) {
-  run(4, [&](Comm& comm) {
-    for (int i = 0; i < 3; ++i) {
-      auto sub = comm.split(comm.rank() % 2, comm.rank());
-      EXPECT_EQ(sub.comm().size(), 2);
-      sub.comm().barrier();
-    }
-  });
-}
-
 TEST(ManyRanks, CollectivesScaleTo64Threads) {
   run(64, [&](Comm& comm) {
     const auto sum = comm.allreduce<std::uint64_t>(1, ReduceOp::kSum);
