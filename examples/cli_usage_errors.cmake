@@ -15,5 +15,10 @@ endfunction()
 # Every synthetic generator shifts 1 << scale.
 expect_usage(sssp --synthetic chain --scale 64 --ranks 2)
 expect_usage(sssp --synthetic chain --scale -1 --ranks 2)
+# A numeric flag takes the whole token, and a finite value.
+expect_usage(sssp --synthetic chain --scale abc --ranks 2)
+expect_usage(sssp --synthetic chain --scale 4 --ranks two)
+expect_usage(sssp --synthetic chain --scale 4x --ranks 2)
+expect_usage(sssp --synthetic chain --scale 4 --ranks 2 --retry-backoff nan)
 # The collective schedule is not selectable.
 expect_usage(sssp --synthetic chain --scale 4 --ranks 2 --schedule rd)

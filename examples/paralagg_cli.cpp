@@ -76,11 +76,14 @@
 //   paralagg_cli sssp --synthetic twitter --scale 13 --ranks 8 --sources 0
 //   paralagg_cli cc --graph my_edges.txt --ranks 16 --out components.txt
 
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "paralagg/paralagg.hpp"
 
@@ -135,6 +138,19 @@ struct Args {
   std::exit(2);
 }
 
+/// The value of numeric flag `flag`: the whole token must parse as a T
+/// (and be finite, for floating point), or the run stops with usage.
+template <typename T>
+T number(const std::string& flag, const std::string& tok) {
+  T v{};
+  const char* const end = tok.data() + tok.size();
+  const auto [stop, ec] = std::from_chars(tok.data(), end, v);
+  bool ok = ec == std::errc{} && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) usage((flag + " expects a number, got '" + tok + "'").c_str());
+  return v;
+}
+
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
   Args args;
@@ -160,18 +176,20 @@ Args parse(int argc, char** argv) {
       // Every synthetic generator shifts 1 << scale: a negative or >= 64
       // shift is undefined, and 2^40 nodes is far beyond what an
       // in-process run can hold.
-      args.scale = std::stoi(next());
+      args.scale = number<int>(flag, next());
       if (args.scale < 1 || args.scale > 40) usage("--scale must be in 1..40");
     } else if (flag == "--ranks") {
-      args.ranks = std::stoi(next());
+      args.ranks = number<int>(flag, next());
     } else if (flag == "--sources") {
       std::istringstream ss(next());
       std::string tok;
-      while (std::getline(ss, tok, ',')) args.sources.push_back(std::stoull(tok));
+      while (std::getline(ss, tok, ',')) {
+        args.sources.push_back(number<core::value_t>(flag, tok));
+      }
     } else if (flag == "--rounds") {
-      args.rounds = std::stoull(next());
+      args.rounds = number<std::size_t>(flag, next());
     } else if (flag == "--sub-buckets") {
-      args.sub_buckets = std::stoi(next());
+      args.sub_buckets = number<int>(flag, next());
     } else if (flag == "--engine") {
       const std::string mode = next();
       if (mode == "async") {
@@ -180,7 +198,7 @@ Args parse(int argc, char** argv) {
         usage(("unknown engine " + mode + " (expected bsp or async)").c_str());
       }
     } else if (flag == "--async-batch") {
-      args.async_batch = std::stoull(next());
+      args.async_batch = number<std::size_t>(flag, next());
       if (args.async_batch == 0) {
         usage("--async-batch must be >= 1 (a zero-row batch never sends)");
       }
@@ -188,13 +206,13 @@ Args parse(int argc, char** argv) {
       // 0 is legal: honest lockstep (every epoch confirmed ring-wide before
       // the next scan).  The flag itself is what opts into SSP.
       args.ssp = true;
-      args.staleness = std::stoull(next());
+      args.staleness = number<std::size_t>(flag, next());
     } else if (flag == "--baseline") {
       args.baseline = true;
     } else if (flag == "--checkpoint") {
       args.checkpoint_file = next();
     } else if (flag == "--checkpoint-every") {
-      args.checkpoint_every = std::stoull(next());
+      args.checkpoint_every = number<std::size_t>(flag, next());
     } else if (flag == "--resume") {
       // The FILE is optional: bare --resume (next token is another flag,
       // or nothing) demands a warm start in serve mode.
@@ -211,37 +229,36 @@ Args parse(int argc, char** argv) {
       std::istringstream ss(next());
       std::string tok;
       std::vector<core::value_t> key;
-      while (std::getline(ss, tok, ',')) key.push_back(std::stoull(tok));
+      while (std::getline(ss, tok, ',')) key.push_back(number<core::value_t>(flag, tok));
       if (key.empty()) usage("--lookup expects a,b,... key values");
       args.lookups.push_back(std::move(key));
     } else if (flag == "--watchdog") {
-      args.watchdog_seconds = std::stod(next());
+      args.watchdog_seconds = number<double>(flag, next());
     } else if (flag == "--retry-max") {
       // 0 is legal: sequence + CRC, abort on first damage (fail-stop).
-      args.retry.max_attempts =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      args.retry.max_attempts = number<std::uint32_t>(flag, next());
     } else if (flag == "--retry-backoff") {
-      args.retry.base_backoff = std::stod(next());
+      args.retry.base_backoff = number<double>(flag, next());
       if (args.retry.base_backoff <= 0) {
         usage("--retry-backoff must be > 0 (use --retry-max 0 to disable "
               "retransmission)");
       }
     } else if (flag == "--retry-deadline") {
-      args.retry.deadline = std::stod(next());
+      args.retry.deadline = number<double>(flag, next());
       if (args.retry.deadline <= 0) {
         usage("--retry-deadline must be > 0 (use --retry-max 0 to disable "
               "retransmission)");
       }
     } else if (flag == "--skew-threshold") {
-      args.skew_threshold = std::stoull(next());
+      args.skew_threshold = number<std::uint64_t>(flag, next());
       if (args.skew_threshold == 0) {
         usage("--skew-threshold must be >= 1 (omit the flag to disable)");
       }
     } else if (flag == "--skew-max-keys") {
-      args.skew_max_keys = std::stoull(next());
+      args.skew_max_keys = number<std::size_t>(flag, next());
       if (args.skew_max_keys == 0) usage("--skew-max-keys must be >= 1");
     } else if (flag == "--nodes") {
-      args.nodes = std::stoi(next());
+      args.nodes = number<int>(flag, next());
     } else if (flag == "--topology") {
       args.topology = next();
       if (args.topology != "flat" && args.topology != "hier") {
@@ -307,7 +324,9 @@ void report(const core::RunResult& run) {
             << run.comm_total.total_cross_node_bytes() / 1024 << " KiB cross-node), "
             << "steps " << run.comm_total.total_steps() << ", "
             << "modelled parallel " << run.profile.modelled_total() << " s, "
-            << "topo-projected " << core::CostModel{}.project_topology(run.profile) << " s\n";
+            << "topo-projected " << core::CostModel{}.project_topology(run.profile) << " s, "
+            << "router rows sent " << run.router.rows_sent << " (" << run.router.rows_combined
+            << " combined, " << run.router.rows_dominated << " dominated)\n";
   if (run.aborted_tuple_limit) {
     std::cerr << "WARNING: tuple limit hit — the run was truncated and did NOT reach "
                  "its fixpoint; results below are partial\n";

@@ -1116,7 +1116,7 @@ core::StratumResult AsyncEngine::run_stratum(const core::Stratum& stratum) {
         local_kernel_ += core::execute_copy(profile_, std::get<core::CopyRule>(rule), router);
       }
     }
-    router.flush(profile_, core::ExchangeAlgorithm::kDense);
+    local_router_ += router.flush(profile_, core::ExchangeAlgorithm::kDense);
     {
       PhaseScope scope(*comm_, profile_, Phase::kDedupAgg);
       for (Relation* t : targets_of(stratum.init_rules)) {
@@ -1215,6 +1215,7 @@ core::RunResult AsyncEngine::run(core::Program& program) {
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
     core::reduce_kernel_totals(*comm_, local_kernel_, result);
+    core::reduce_router_totals(*comm_, local_router_, result);
   }
   return result;
 }

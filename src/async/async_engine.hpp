@@ -167,6 +167,7 @@ class AsyncEngine {
   core::RankProfile profile_;
   AsyncLoopStats loop_stats_;
   core::JoinKernelTotals local_kernel_;  // this rank's share; reduced in run()
+  core::RouterTotals local_router_;      // init flushes only; reduced in run()
   std::uint64_t stratum_seq_ = 0;  // offsets detector tags per stratum
 };
 

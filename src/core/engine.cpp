@@ -27,6 +27,13 @@ void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunRe
   fill(result.kernel_max, vmpi::ReduceOp::kMax);
 }
 
+void reduce_router_totals(vmpi::Comm& comm, const RouterTotals& local, RunResult& result) {
+  for (auto field : {&RouterTotals::rows_sent, &RouterTotals::rows_combined,
+                     &RouterTotals::rows_dominated}) {
+    result.router.*field = comm.allreduce<std::uint64_t>(local.*field, vmpi::ReduceOp::kSum);
+  }
+}
+
 std::vector<Relation*> Engine::targets_of(const std::vector<Rule>& rules) {
   std::vector<Relation*> out;
   for (const auto& rule : rules) {
@@ -99,10 +106,10 @@ void Engine::run_rules(const std::vector<Rule>& rules, ExchangeRouter& router) {
   for (const auto& rule : rules) {
     execute_rule(rule, router);
     // Per-rule schedule (the RQ1 baseline): every rule pays its own exchange.
-    if (!cfg_.fuse_exchanges) router.flush(profile_, cfg_.exchange);
+    if (!cfg_.fuse_exchanges) local_router_ += router.flush(profile_, cfg_.exchange);
   }
   // Fused schedule: one flush carries every rule's outputs.
-  if (cfg_.fuse_exchanges) router.flush(profile_, cfg_.exchange);
+  if (cfg_.fuse_exchanges) local_router_ += router.flush(profile_, cfg_.exchange);
 }
 
 StratumResult Engine::run_stratum(const Stratum& stratum, std::size_t start_iteration,
@@ -312,6 +319,7 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
     reduce_kernel_totals(*comm_, local_kernel_, result);
+    reduce_router_totals(*comm_, local_router_, result);
     // Detection runs are symmetric (max = the shared count); row moves are
     // per-rank shares, so they sum.
     result.skew.detections =

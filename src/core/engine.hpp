@@ -127,6 +127,10 @@ struct RunResult {
   /// Heavy-hitter routing activity (identical on every rank): detections
   /// and hot_iterations are max-over-ranks, row counts are summed.
   SkewStats skew;
+  /// Router rows summed over ranks and flushes (identical on every rank):
+  /// sent, collapsed by sender-side pre-aggregation, and dropped by the
+  /// cross-flush dominance filter.
+  RouterTotals router;
   double wall_seconds = 0;     // this rank's view
 };
 
@@ -134,6 +138,10 @@ struct RunResult {
 /// from this rank's kernel counters.  Collective; both engines' run
 /// summaries call it.
 void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunResult& result);
+
+/// Fill `result.router` with this rank's router counters summed over
+/// ranks.  Collective; both engines' run summaries call it.
+void reduce_router_totals(vmpi::Comm& comm, const RouterTotals& local, RunResult& result);
 
 class Engine {
  public:
@@ -204,6 +212,7 @@ class Engine {
   RankProfile profile_;
   std::uint64_t cumulative_materialized_ = 0;
   JoinKernelTotals local_kernel_;  // this rank's share; summed in run()
+  RouterTotals local_router_;      // this rank's share; summed in run()
   SkewStats local_skew_;           // this rank's share; reduced in run()
   // Checkpoint context, valid only inside run_from(): the program being
   // executed, the index of the stratum in flight, and the loop iterations

@@ -13,8 +13,8 @@
 // Every flush is one blocking exchange; the RQ1 baseline
 // (EngineConfig::fuse_exchanges off) flushes after every rule instead.
 //
-// Because the router is the single choke point for generated tuples, two
-// further communication-avoidance moves become trivial here:
+// Because the router is the single choke point for generated tuples,
+// three further communication-avoidance moves become trivial here:
 //
 //   * Self-loopback fast path: a row owned by the emitting rank bypasses
 //     serialization entirely and lands directly in the target's staging
@@ -27,6 +27,15 @@
 //     wire as a key-sorted, key-unique run — the paper's §IV-A fusion,
 //     extended across all rules feeding a target.  With pre-aggregation
 //     off the buckets only append, so every emitted row is sent.
+//   * Cross-flush dominance filter: for a kLattice target with an
+//     idempotent aggregator (and pre-aggregation on), each bucket also has
+//     a *shipped run* — per key, the ⊔ of every value this rank has sent
+//     that destination in the stratum.  At pack, a folded row the shipped
+//     run already absorbs (shipped ⊔ row == shipped) is dropped: the owner
+//     folded the shipped rows exactly once, so its stored value absorbs the
+//     row too and it could never become a delta.  A target whose filter
+//     rarely drops anything releases its shipped runs for the rest of the
+//     stratum (DESIGN.md §6.3).
 //
 // Each destination's frame is one vmpi row frame (DESIGN.md §6.2) with a
 // [route | count | rows] section per non-empty bucket; the route is the
@@ -75,6 +84,9 @@ struct RouterFlushStats {
   /// Rows collapsed by sender-side pre-aggregation: at flush, and by the
   /// bucket folds of the emits since the previous flush.
   std::uint64_t rows_combined = 0;
+  /// Folded rows the cross-flush dominance filter dropped: this rank had
+  /// already sent their destination a value for the key that absorbs them.
+  std::uint64_t rows_dominated = 0;
   /// Rows whose join key was hot at emit time: routed to the H2 spread
   /// rank instead of the owner (skew-optimal layout, DESIGN.md §13).
   std::uint64_t rows_hot_routed = 0;
@@ -87,6 +99,21 @@ struct RouterFlushStats {
   /// bytes with ties to the lowest rank, so the member already holding the
   /// most data merges in place instead of shipping it up first.
   int elected_leader = -1;
+};
+
+/// A router's row counters summed over flushes (and, in RunResult, over
+/// ranks).  On the flat exchange every remote row emitted is sent,
+/// combined or dominated.
+struct RouterTotals {
+  std::uint64_t rows_sent = 0;
+  std::uint64_t rows_combined = 0;
+  std::uint64_t rows_dominated = 0;
+  RouterTotals& operator+=(const RouterFlushStats& st) {
+    rows_sent += st.rows_sent;
+    rows_combined += st.rows_combined;
+    rows_dominated += st.rows_dominated;
+    return *this;
+  }
 };
 
 class ExchangeRouter {
@@ -115,6 +142,20 @@ class ExchangeRouter {
 
   /// Rows currently buffered for remote ranks on this rank, after folds.
   [[nodiscard]] std::uint64_t pending_rows() const { return pending_rows_; }
+
+  /// A target releases its shipped runs on this rank, for the rest of the
+  /// router's life, once at least kReleaseMinHits rows found their key in
+  /// them and fewer than 1 in kReleaseShare of those were dominated: the
+  /// filter then costs more than it saves (DESIGN.md §6.3).
+  static constexpr std::uint64_t kReleaseMinHits = 4096;
+  static constexpr std::uint64_t kReleaseShare = 8;
+
+  /// Does this rank still drop dominated rows for the target?  True from
+  /// registration for idempotent kLattice targets under pre-aggregation,
+  /// until a low yield releases the target's shipped runs.
+  [[nodiscard]] bool filters_dominated(std::uint32_t route_id) const {
+    return filters_[route_id].live;
+  }
 
   /// One blocking collective exchange carrying every buffered row, decoded
   /// straight into the target relations' staging areas (bulk, with
@@ -145,8 +186,60 @@ class ExchangeRouter {
   [[nodiscard]] std::size_t arity_of(std::uint64_t route_id) const {
     return targets_[route_id]->arity();
   }
+
+  /// What one rank has shipped one destination for one target: per key, the
+  /// ⊔ of every value sent.  Flat rows plus an open-addressing index over
+  /// their keys, so checking a flush's rows costs one probe per row whatever
+  /// the history's size (a sorted run would merge its whole length to take
+  /// in new keys).
+  class ShippedRun {
+   public:
+    ShippedRun(std::size_t arity, std::size_t key_arity, const RecursiveAggregator* agg)
+        : arity_(arity), key_arity_(key_arity), agg_(agg), joined_(arity - key_arity) {}
+
+    /// Drop from the folded `run` every row whose value the history already
+    /// absorbs (shipped ⊔ row == shipped) and fold the rest into it.  Adds
+    /// the rows whose key had been shipped before to `hits`; returns the
+    /// rows dropped.
+    std::size_t filter(FoldRun& run, std::uint64_t& hits);
+    /// Drop the history and return its memory.
+    void release();
+
+   private:
+    static constexpr std::size_t kAhead = 8;  // probes kept in flight by filter()
+
+    void rehash(std::size_t slots);
+    /// Home slot of a key: multiplicative hashing, top bits.
+    [[nodiscard]] std::size_t slot_of(const value_t* key) const {
+      value_t h = 0;
+      for (std::size_t c = 0; c < key_arity_; ++c) h = (h ^ key[c]) * 0x9e3779b97f4a7c15ULL;
+      return static_cast<std::size_t>(h >> shift_);
+    }
+
+    std::size_t arity_;
+    std::size_t key_arity_;
+    const RecursiveAggregator* agg_;
+    std::size_t count_ = 0;             // rows held
+    unsigned shift_ = 64;               // 64 - log2(slots_.size())
+    std::vector<value_t> rows_;         // key columns + shipped ⊔, arity_ each
+    std::vector<std::uint32_t> slots_;  // row index + 1 per key hash; 0 = empty
+    std::vector<value_t> joined_;       // partial_agg output
+  };
+
+  struct DominanceFilter {
+    bool live = false;
+    std::uint64_t hits = 0;       // rows whose key was in a shipped run
+    std::uint64_t dominated = 0;  // of those, rows dropped
+  };
+
   /// Start a flush's stats from the emit-side counters, resetting them.
   RouterFlushStats take_emit_stats();
+  /// Fold bucket (route_id, dest) and drop the rows its shipped run
+  /// dominates, folding the survivors into the shipped run.
+  void fold_bucket(std::size_t route_id, std::size_t dest, RouterFlushStats& st);
+  /// Release the shipped runs of every target whose filter fell below the
+  /// yield bound.
+  void release_low_yield();
   /// Fold and encode every bucket into per-destination frames.  The
   /// frames copy the rows out, so the caller recycle()s the buckets.
   std::vector<vmpi::Bytes> pack(RouterFlushStats& st);
@@ -185,6 +278,10 @@ class ExchangeRouter {
   std::vector<Relation*> targets_;
   // Row buckets, target-major: outgoing_[route_id * nranks + dest].
   std::vector<FoldRun> outgoing_;
+  // What this rank shipped per bucket, same layout; empty unless the
+  // target's filter is live.
+  std::vector<ShippedRun> shipped_;
+  std::vector<DominanceFilter> filters_;  // per target
   // The hierarchical leader's per-(target, dest) node merge, same layout.
   std::vector<FoldRun> node_runs_;
   std::uint64_t pending_rows_ = 0;

@@ -16,6 +16,8 @@
 // across folds up to a floor-sized fold's need.  One per run multiplied
 // retained memory over every relation and bucket.
 
+#include <algorithm>
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -42,6 +44,23 @@ class FoldRun {
   /// Fold every row appended since the last fold into the run.  Returns
   /// the rows collapsed.
   std::size_t fold();
+
+  /// Drop every row of a folded run for which `drop(row)` holds, keeping
+  /// key order.  Only right after fold().  Returns the rows dropped.
+  template <typename Drop>
+  std::size_t drop_if(Drop&& drop) {
+    assert(rows_.size() == run_rows_ * arity_ && "drop_if needs a folded run");
+    std::size_t w = 0;
+    for (std::size_t off = 0; off < rows_.size(); off += arity_) {
+      if (drop(std::span<const value_t>(rows_.data() + off, arity_))) continue;
+      if (w != off) std::copy_n(rows_.data() + off, arity_, rows_.data() + w);
+      w += arity_;
+    }
+    const std::size_t dropped = run_rows_ - w / arity_;
+    rows_.resize(w);
+    run_rows_ = w / arity_;
+    return dropped;
+  }
 
   /// The buffered rows: a run right after fold() (when folding).
   [[nodiscard]] std::span<const value_t> values() const { return rows_; }

@@ -1,7 +1,8 @@
 // Exchange fusion: the router's R+1 collective rounds per iteration vs the
-// legacy 2R schedule, sender-side pre-aggregation and the loopback fast
-// path, observability through CommStats/ProfileSummary, and bit-identical
-// query results across fuse × exchange-algorithm modes.
+// legacy 2R schedule, sender-side pre-aggregation, the cross-flush
+// dominance filter and the loopback fast path, observability through
+// CommStats/ProfileSummary/RunResult, and bit-identical query results
+// across fuse × exchange-algorithm modes.
 
 #include "core/exchange_router.hpp"
 
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "graph/generators.hpp"
 #include "queries/cc.hpp"
 #include "queries/pagerank.hpp"
 #include "queries/reference.hpp"
@@ -122,12 +124,14 @@ RelationConfig fold_target_config(FoldTarget kind) {
   return {.name = "fplain", .arity = 3, .jcc = 1};
 }
 
-/// Emit `rows` duplicate-heavy rows, all owned by the peer, through a
-/// router with and without pre-aggregation; check the fold accounting, that
-/// both stage the same fixpoint, and that it is the std::map fold of what
-/// the peer emitted.
+/// Emit duplicate-heavy rows, all owned by the peer, in several flushes
+/// through a router with and without pre-aggregation; check the fold and
+/// dominance accounting, that both stage the same fixpoint, and that it is
+/// the std::map fold of what the peer emitted.
 void expect_emit_time_folds(FoldTarget kind) {
-  const std::size_t rows = 3 * Relation::kFoldFloor + 17;
+  constexpr std::size_t kFlushes = 3;
+  const std::size_t chunk = Relation::kFoldFloor + 17;
+  const std::size_t rows = kFlushes * chunk;
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Relation folded(comm, fold_target_config(kind));
     Relation reference(comm, fold_target_config(kind));
@@ -136,6 +140,8 @@ void expect_emit_time_folds(FoldTarget kind) {
     ExchangeRouter append_only(comm, /*preaggregate=*/false);
     const auto id = router.add_target(&folded);
     const auto ref_id = append_only.add_target(&reference);
+    EXPECT_EQ(router.filters_dominated(id), kind == FoldTarget::kMin);
+    EXPECT_FALSE(append_only.filters_dominated(ref_id));
 
     const auto keys_of = [&](int rank) {  // the first 97 join keys `rank` owns
       std::vector<value_t> keys;
@@ -151,26 +157,40 @@ void expect_emit_time_folds(FoldTarget kind) {
       return Tuple{keys[i % keys.size()], i % 3, dep};
     };
     const auto theirs = keys_of(1 - comm.rank());
-    for (std::size_t i = 0; i < rows; ++i) {
-      const Tuple row = row_at(theirs, i);
-      router.emit(id, row.view());
-      append_only.emit(ref_id, row.view());
-    }
-    // Folds fired while emitting, and what is left is a bounded buffer.
-    EXPECT_LT(router.pending_rows(), rows);
-    EXPECT_LE(router.pending_rows(), 2 * Relation::kFoldFloor);
-    // Without pre-aggregation every emitted row stays buffered and is sent:
-    // serving's per-event support counts depend on it.
-    EXPECT_EQ(append_only.pending_rows(), rows);
+    RouterTotals total;
+    for (std::size_t f = 0; f < kFlushes; ++f) {
+      for (std::size_t i = f * chunk; i < (f + 1) * chunk; ++i) {
+        const Tuple row = row_at(theirs, i);
+        router.emit(id, row.view());
+        append_only.emit(ref_id, row.view());
+      }
+      // Folds fired while emitting, and what is left is a bounded buffer.
+      EXPECT_LT(router.pending_rows(), chunk);
+      EXPECT_LE(router.pending_rows(), 2 * Relation::kFoldFloor);
+      // Without pre-aggregation every emitted row stays buffered and is
+      // sent: serving's per-event support counts depend on it.
+      EXPECT_EQ(append_only.pending_rows(), chunk);
 
-    const auto st = router.flush(profile, ExchangeAlgorithm::kDense);
-    EXPECT_EQ(st.rows_sent + st.rows_combined, rows);
-    EXPECT_EQ(st.rows_sent, 97u * 3u);  // one row per (key, column 1)
-    EXPECT_EQ(router.pending_rows(), 0u);
-    const auto ref_st = append_only.flush(profile, ExchangeAlgorithm::kDense);
-    EXPECT_EQ(ref_st.rows_sent, rows);
-    EXPECT_EQ(ref_st.rows_combined, 0u);
-    EXPECT_EQ(ref_st.rows_staged, rows);
+      const auto st = router.flush(profile, ExchangeAlgorithm::kDense);
+      total += st;
+      EXPECT_EQ(router.pending_rows(), 0u);
+      const auto ref_st = append_only.flush(profile, ExchangeAlgorithm::kDense);
+      EXPECT_EQ(ref_st.rows_sent, chunk);
+      EXPECT_EQ(ref_st.rows_combined, 0u);
+      EXPECT_EQ(ref_st.rows_dominated, 0u);
+      EXPECT_EQ(ref_st.rows_staged, chunk);
+    }
+    // Every emitted row was sent, folded into another, or dropped as
+    // dominated by what an earlier flush sent.
+    EXPECT_EQ(total.rows_sent + total.rows_combined + total.rows_dominated, rows);
+    // Each flush folds to one row per (key, column 1); only MIN's repeats
+    // across flushes can be dominated.
+    EXPECT_EQ(total.rows_sent + total.rows_dominated, kFlushes * 97u * 3u);
+    if (kind == FoldTarget::kMin) {
+      EXPECT_GT(total.rows_dominated, 0u);
+    } else {
+      EXPECT_EQ(total.rows_dominated, 0u);
+    }
 
     folded.materialize();
     reference.materialize();
@@ -211,6 +231,177 @@ TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedSum) {
 
 TEST(ExchangeRouter, EmitTimeFoldsAccountAndMatchUnfoldedPlain) {
   expect_emit_time_folds(FoldTarget::kPlain);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-flush dominance filter
+// ---------------------------------------------------------------------------
+
+/// Each of 2 ranks sends the peer's first key one row per flush, (theirs,
+/// 1, dep) for each dep in turn, through a router with `preaggregate` and
+/// through an append-only reference, materializing after every flush like
+/// an iteration.  Both must reach the same fixpoint; returns rank 0's
+/// per-flush stats (the ranks are symmetric).
+std::vector<RouterFlushStats> send_across_flushes(const RelationConfig& cfg, bool preaggregate,
+                                                  const std::vector<value_t>& deps) {
+  std::vector<RouterFlushStats> flushes;
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation rel(comm, cfg);
+    Relation reference(comm, cfg);
+    RankProfile profile;
+    ExchangeRouter router(comm, preaggregate);
+    ExchangeRouter append_only(comm, /*preaggregate=*/false);
+    const auto id = router.add_target(&rel);
+    const auto ref_id = append_only.add_target(&reference);
+    const value_t theirs = key_owned_by(rel, 1 - comm.rank());
+    for (const value_t dep : deps) {
+      router.emit(id, Tuple{theirs, 1, dep}.view());
+      append_only.emit(ref_id, Tuple{theirs, 1, dep}.view());
+      const auto st = router.flush(profile, ExchangeAlgorithm::kDense);
+      append_only.flush(profile, ExchangeAlgorithm::kDense);
+      rel.materialize();
+      reference.materialize();
+      if (comm.rank() == 0) flushes.push_back(st);
+    }
+    const auto got = rel.gather_to_root(0);
+    const auto want = reference.gather_to_root(0);
+    if (comm.rank() == 0) {
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got, want);
+    }
+  });
+  return flushes;
+}
+
+RelationConfig min_target(AggMode mode = AggMode::kLattice) {
+  return {.name = "dmin", .arity = 3, .jcc = 1, .dep_arity = 1,
+          .aggregator = make_min_aggregator(), .agg_mode = mode};
+}
+
+TEST(DominanceFilter, MinRepeatNoBetterThanShippedIsDropped) {
+  const auto flushes = send_across_flushes(min_target(), /*preaggregate=*/true, {5, 7, 3});
+  ASSERT_EQ(flushes.size(), 3u);
+  EXPECT_EQ(flushes[0].rows_sent, 1u);  // (k, 5): first sight of k
+  EXPECT_EQ(flushes[0].rows_dominated, 0u);
+  EXPECT_EQ(flushes[1].rows_sent, 0u);  // (k, 7): min(5, 7) == 5 was shipped
+  EXPECT_EQ(flushes[1].rows_dominated, 1u);
+  EXPECT_EQ(flushes[1].rows_staged, 0u);
+  EXPECT_EQ(flushes[2].rows_sent, 1u);  // (k, 3): better than anything shipped
+  EXPECT_EQ(flushes[2].rows_dominated, 0u);
+}
+
+TEST(DominanceFilter, BitorShipsIncomparableValuesAndDropsSubsetsOfTheUnion) {
+  const RelationConfig cfg{.name = "dor", .arity = 3, .jcc = 1, .dep_arity = 1,
+                           .aggregator = make_bitor_aggregator()};
+  // {0} and {1} are incomparable; {0} and {0,1} are subsets of their
+  // union; {2} is new information again.
+  const auto flushes = send_across_flushes(cfg, /*preaggregate=*/true, {1, 2, 1, 3, 4});
+  ASSERT_EQ(flushes.size(), 5u);
+  const std::array<std::uint64_t, 5> sent{1, 1, 0, 0, 1};
+  for (std::size_t f = 0; f < flushes.size(); ++f) {
+    EXPECT_EQ(flushes[f].rows_sent, sent[f]) << "flush " << f;
+    EXPECT_EQ(flushes[f].rows_dominated, 1 - sent[f]) << "flush " << f;
+  }
+}
+
+TEST(DominanceFilter, NonIdempotentRefreshPlainAndAppendOnlyTargetsSendEveryRow) {
+  const RelationConfig sum{.name = "dsum", .arity = 3, .jcc = 1, .dep_arity = 1,
+                           .aggregator = make_sum_aggregator()};
+  const RelationConfig plain{.name = "dplain", .arity = 3, .jcc = 1};
+  const std::vector<std::pair<RelationConfig, bool>> legs{
+      {sum, true},                              // SUM is not idempotent
+      {min_target(AggMode::kRefresh), true},    // refresh replaces stored values
+      {plain, true},                            // plain targets stay as they are
+      {min_target(), false},                    // no pre-aggregation, no filter
+  };
+  for (const auto& [cfg, preaggregate] : legs) {
+    // Under the filter, MIN would drop the 7 and the second 5.
+    const auto flushes = send_across_flushes(cfg, preaggregate, {5, 7, 5});
+    ASSERT_EQ(flushes.size(), 3u);
+    for (const auto& st : flushes) {
+      EXPECT_EQ(st.rows_sent, 1u) << cfg.name << " preaggregate=" << preaggregate;
+      EXPECT_EQ(st.rows_dominated, 0u) << cfg.name << " preaggregate=" << preaggregate;
+    }
+  }
+}
+
+TEST(DominanceFilter, LowYieldHistoryIsReleasedAndAnswersStayExact) {
+  // Every rank sends 4096 of the peer's keys, then improves every one of
+  // them: 4096 key hits, none dominated, so the history is released.  The
+  // third flush repeats worse values, which a live filter would drop; the
+  // released router sends them all, and the fixpoint is still exact.
+  const std::size_t keys_per_rank = ExchangeRouter::kReleaseMinHits;
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation rel(comm, min_target());
+    Relation reference(comm, min_target());
+    RankProfile profile;
+    ExchangeRouter router(comm, /*preaggregate=*/true);
+    ExchangeRouter append_only(comm, /*preaggregate=*/false);
+    const auto id = router.add_target(&rel);
+    const auto ref_id = append_only.add_target(&reference);
+    std::vector<value_t> theirs;
+    for (value_t k = 0; theirs.size() < keys_per_rank; ++k) {
+      if (rel.owner_rank(Tuple{k, 0, 0}.view()) != comm.rank()) theirs.push_back(k);
+    }
+    const auto flush_all = [&](value_t dep) {
+      for (const value_t k : theirs) {
+        router.emit(id, Tuple{k, 1, dep}.view());
+        append_only.emit(ref_id, Tuple{k, 1, dep}.view());
+      }
+      const auto st = router.flush(profile, ExchangeAlgorithm::kDense);
+      append_only.flush(profile, ExchangeAlgorithm::kDense);
+      rel.materialize();
+      reference.materialize();
+      return st;
+    };
+    EXPECT_EQ(flush_all(50).rows_sent, keys_per_rank);
+    EXPECT_TRUE(router.filters_dominated(id));
+    const auto improved = flush_all(40);
+    EXPECT_EQ(improved.rows_sent, keys_per_rank);
+    EXPECT_EQ(improved.rows_dominated, 0u);
+    EXPECT_FALSE(router.filters_dominated(id));
+    const auto worse = flush_all(45);
+    EXPECT_EQ(worse.rows_sent, keys_per_rank);
+    EXPECT_EQ(worse.rows_dominated, 0u);
+
+    const auto got = rel.gather_to_root(0);
+    const auto want = reference.gather_to_root(0);
+    if (comm.rank() == 0) {
+      ASSERT_EQ(got.size(), 2 * keys_per_rank);
+      EXPECT_EQ(got, want);
+      for (const auto& row : got) EXPECT_EQ(row[2], 40u);
+    }
+  });
+}
+
+TEST(DominanceFilter, SsspUnderBalancerAndSkewReportsDropsAndMatchesDijkstra) {
+  // A planted super-hub trips the hot-key layout (rows of the target
+  // respread with their stored values) and the balancer reshuffles the
+  // edges; the filter must stay exact through both.
+  auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 31});
+  graph::plant_hub(g, 0.3, 0, 5);
+  const auto sources = g.pick_hubs(4);
+  const auto oracle = queries::reference::sssp(g, sources);
+  vmpi::run(4, [&](vmpi::Comm& comm) {
+    queries::SsspOptions opts;
+    opts.sources = sources;
+    opts.collect_distances = true;
+    opts.tuning.engine.balance.enabled = true;
+    opts.tuning.engine.skew.enabled = true;
+    opts.tuning.engine.skew.hot_threshold = 64;
+    const auto res = queries::run_sssp(comm, g, opts);
+    EXPECT_GT(res.run.skew.hot_iterations, 0u);
+    EXPECT_GT(res.run.router.rows_dominated, 0u);
+    EXPECT_GT(res.run.router.rows_sent, 0u);
+    EXPECT_EQ(res.path_count, oracle.size());
+    if (comm.rank() == 0) {
+      for (const auto& row : res.distances) {
+        const auto it = oracle.find({row[1], row[0]});
+        ASSERT_NE(it, oracle.end());
+        EXPECT_EQ(row[2], it->second);
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 // locality split follows the partners; (3) the hierarchical router reaches
 // the bit-identical staged state of the dense exchange while shipping
 // strictly fewer cross-node bytes, with the back-to-back-flush and
-// ragged-node edge cases intact.
+// ragged-node edge cases intact, and never re-sends a dominated row across
+// nodes.
 
 #include "vmpi/topology.hpp"
 
@@ -378,6 +379,56 @@ TEST(HierarchicalExchange, BackToBackFlushesEachStageTheirOwnRow) {
     EXPECT_EQ(comm.stats().calls_of(Op::kAlltoallv), 2u);
     EXPECT_EQ(comm.stats().steps_of(Op::kAlltoallv), 6u);
   });
+}
+
+TEST(HierarchicalExchange, DominatedRepeatIsNotResentAcrossNodes) {
+  // Every rank sends a key owned on the other node (k, 5), then (k, 9),
+  // which its shipped run dominates, then (k, 3).  The dominated repeat
+  // must not cross nodes, and the fixpoint must match an unfiltered dense
+  // router's.
+  const int ranks = 4;
+  const auto options = with_topology(Topology::grouped(ranks, 2));
+  const std::vector<value_t> deps{5, 9, 3};
+  const auto leg = [&](ExchangeAlgorithm algo, bool preaggregate,
+                       std::vector<std::uint64_t>* cross_per_flush) {
+    std::vector<Tuple> rows;
+    vmpi::run(ranks, options, [&](Comm& comm) {
+      Relation rel(comm, {.name = "dr",
+                          .arity = 3,
+                          .jcc = 1,
+                          .dep_arity = 1,
+                          .aggregator = core::make_min_aggregator()});
+      RankProfile profile;
+      ExchangeRouter router(comm, preaggregate);
+      const auto id = router.add_target(&rel);
+      const value_t key = key_owned_by(rel, (comm.rank() + 2) % ranks);
+      for (const value_t dep : deps) {
+        const auto before = comm.stats().cross_node_bytes(Op::kAlltoallv);
+        router.emit(id, Tuple{key, 7, dep}.view());
+        const auto st = router.flush(profile, algo);
+        rel.materialize();
+        if (preaggregate) {
+          EXPECT_EQ(st.rows_dominated, dep == 9 ? 1u : 0u) << "rank " << comm.rank();
+        }
+        const auto cross = comm.allreduce<std::uint64_t>(
+            comm.stats().cross_node_bytes(Op::kAlltoallv) - before, vmpi::ReduceOp::kSum);
+        if (cross_per_flush != nullptr && comm.rank() == 0) cross_per_flush->push_back(cross);
+      }
+      auto gathered = rel.gather_to_root(0);
+      if (comm.rank() == 0) rows = std::move(gathered);
+    });
+    return rows;
+  };
+
+  std::vector<std::uint64_t> cross;
+  const auto dense = leg(ExchangeAlgorithm::kDense, /*preaggregate=*/false, nullptr);
+  const auto hier = leg(ExchangeAlgorithm::kHierarchical, /*preaggregate=*/true, &cross);
+  ASSERT_EQ(dense.size(), static_cast<std::size_t>(ranks));
+  EXPECT_EQ(hier, dense);
+  ASSERT_EQ(cross.size(), deps.size());
+  EXPECT_GT(cross[0], 0u);
+  EXPECT_EQ(cross[1], 0u);  // (k, 9) stayed home on every rank
+  EXPECT_GT(cross[2], 0u);
 }
 
 TEST(HierarchicalExchange, HeaviestMemberAggregatesItsNode) {
