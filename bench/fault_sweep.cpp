@@ -2,9 +2,10 @@
 // (but seeded, replayable) network.
 //
 // Sweeps injected drop/dup/reorder/corrupt rates and a rank kill over SSSP
-// on both engines (BSP with the Bruck exchange and the async
-// delta-propagation loop — the two paths whose traffic rides the faultable
-// mailboxes), then over PageRank in stale-synchronous mode at two staleness
+// on both engines (BSP on its default dense exchange and the async
+// delta-propagation loop; the reliable channel guards every row frame
+// either engine sends, while fact loads and collective relays stay off
+// it), then over PageRank in stale-synchronous mode at two staleness
 // windows.  Every fault point runs twice: once under the default retry
 // budget ("healed" — the reliable channel retransmits until the fixpoint is
 // bit-identical) and once with the budget zeroed ("legacy" — the channel
@@ -82,7 +83,7 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
              double watchdog, const std::vector<core::Tuple>& reference,
              std::size_t checkpoint_every = 0) {
   Leg leg;
-  leg.engine = use_async ? "async" : "bsp+bruck";
+  leg.engine = use_async ? "async" : "bsp";
   leg.fault = point.name;
   leg.mode = retry.max_attempts > 0 ? "healed" : "legacy";
 
@@ -104,7 +105,6 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
         opts.sources = {0};
         opts.collect_distances = true;
         opts.tuning.use_async = use_async;
-        opts.tuning.engine.exchange = core::ExchangeAlgorithm::kBruck;
         if (checkpoint_every > 0) {
           opts.tuning.engine.checkpoint_every = checkpoint_every;
           opts.tuning.engine.checkpoint_path = ckpt_path;
@@ -274,7 +274,6 @@ int main(int argc, char** argv) {
         opts.sources = {0};
         opts.collect_distances = true;
         opts.tuning.use_async = use_async;
-        opts.tuning.engine.exchange = core::ExchangeAlgorithm::kBruck;
         const auto r = run_sssp(comm, g, opts);
         if (comm.rank() == 0) reference = r.distances;
       });

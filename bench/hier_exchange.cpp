@@ -4,7 +4,7 @@
 // Sweep: 16..64 ranks grouped 8 ranks per modeled node, two configs per
 // size over the same single-rule SSSP fixpoint:
 //
-//   dense-rd     — flat matrix alltoallv, recursive-doubling collectives
+//   dense-rd     — flat alltoallv, recursive-doubling collectives
 //   hier-rd      — two-level exchange (node aggregators pre-merge MIN
 //                  deltas, leaders-only mailbox alltoallv, intra-node
 //                  scatter)

@@ -29,9 +29,10 @@ using core::Tuple;
 using core::value_t;
 using core::Version;
 
-// Application-message tags of the async loop.  Disjoint from the Bruck
-// relay block (0x42000000+k, unused here — no collectives in the loop) and
-// from the TerminationDetector's control block.
+// Application-message tags of the async loop.  Disjoint from the
+// collectives' rotated tag blocks (0x41A2...., 0x42......, 0x44......;
+// unused inside the loop, which runs no collectives) and from the
+// TerminationDetector's control block.
 constexpr int kTagStage = 0x51A50000;  // generated rows -> owner rank
 constexpr int kTagProbe = 0x51A50001;  // delta rows -> static side's bucket ranks
 // Stale-synchronous mode: both frame kinds open with an epoch word, and

@@ -60,7 +60,7 @@ RuleExecStats Engine::execute_rule(const Rule& rule, ExchangeRouter& router) {
   if (const auto* j = std::get_if<JoinRule>(&rule)) {
     const std::optional<JoinOrderPolicy> forced =
         cfg_.dynamic_join_order ? std::nullopt : std::optional(cfg_.fixed_order);
-    stats = execute_join(*comm_, profile_, *j, router, forced, cfg_.exchange);
+    stats = execute_join(*comm_, profile_, *j, router, forced);
   } else {
     stats = execute_copy(profile_, std::get<CopyRule>(rule), router);
   }

@@ -44,9 +44,8 @@ struct EngineConfig {
   /// Fixpoints are bit-identical to the uniform path either way.
   SkewConfig skew;
 
-  /// Exchange algorithm for the engine's tuple shuffles.  kBruck caps the
-  /// per-rank message count at ceil(log2 n) per exchange — the trade the
-  /// authors' HPDC'22 all-to-all work makes for latency-bound iterations.
+  /// Exchange algorithm for the router's flushes: one dense alltoallv, or
+  /// the two-level exchange under a grouped topology (DESIGN.md §10).
   ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense;
 
   /// Collapse the per-rule all-to-all of generated tuples into a single

@@ -11,15 +11,6 @@
 
 namespace paralagg::core {
 
-std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
-                                            ExchangeAlgorithm algo) {
-  // kHierarchical degrades to the dense matrix here: the two-level path
-  // needs the router's bucket folds to be worth its extra hops, and the
-  // intra-bucket shuffles this helper serves have none.
-  return algo == ExchangeAlgorithm::kBruck ? comm.alltoallv_bruck(std::move(send))
-                                           : comm.alltoallv(std::move(send));
-}
-
 std::size_t ExchangeRouter::ShippedRun::filter(FoldRun& run, std::uint64_t& hits) {
   const std::size_t n = run.row_count();
   // Size the index for the worst case, every row new, so no probe below
@@ -258,7 +249,7 @@ RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm a
     PhaseScope scope(*comm_, profile, Phase::kAllToAll);
     auto send = pack(st);
     profile.add_work(Phase::kAllToAll, st.rows_sent);
-    received = exchange_alltoallv(*comm_, std::move(send), algo);
+    received = comm_->alltoallv_mailbox(std::move(send));
   }
   recycle(outgoing_);  // the blocking exchange copied everything out already
   decode(received, st, profile);

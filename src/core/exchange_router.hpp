@@ -55,10 +55,12 @@
 
 namespace paralagg::core {
 
-/// How the tuple exchanges are routed.
+/// How the router's flushes are routed.  Both ride the faultable
+/// mailbox path (vmpi::Comm::alltoallv_mailbox and its p2p legs), so an
+/// installed FaultPlan reaches every row frame and the reliable channel
+/// heals it.
 enum class ExchangeAlgorithm : std::uint8_t {
-  kDense,  // matrix alltoallv (bandwidth-optimal)
-  kBruck,  // log-round relay (message-count-optimal; see vmpi::Comm)
+  kDense,  // one personalised alltoallv (bandwidth-optimal)
   /// Two-level topology-aware exchange: every node's aggregator rank —
   /// elected per flush by staged delta bytes (vmpi::Topology::
   /// elect_leaders; ties to the lowest rank) so the heaviest member merges
@@ -67,15 +69,11 @@ enum class ExchangeAlgorithm : std::uint8_t {
   /// frames across nodes, and each leader scatters the arrivals
   /// intra-node.  3 steps instead of 1, but the
   /// cross-node volume shrinks by whatever the node-level MIN/MAX merge
-  /// collapses.  Router flushes only; the plain exchange_alltoallv helper
-  /// (intra-bucket shuffles, no fold context) degrades it to kDense.
-  /// Under a flat topology (node_size 1) it IS kDense.
+  /// collapses.  Router flushes only: the intra-bucket shuffles have no
+  /// fold context and always run dense.  Under a flat topology
+  /// (node_size 1) it IS kDense.
   kHierarchical,
 };
-
-/// One collective tuple exchange under the chosen algorithm.  Collective.
-std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
-                                            ExchangeAlgorithm algo);
 
 struct RouterFlushStats {
   std::uint64_t rows_sent = 0;       // rows serialized toward remote ranks

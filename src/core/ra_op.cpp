@@ -62,8 +62,7 @@ std::vector<vmpi::Bytes> encode_all(const std::vector<std::vector<value_t>>& out
 }  // namespace
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
-                           ExchangeRouter& router, std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo) {
+                           ExchangeRouter& router, std::optional<JoinOrderPolicy> forced) {
   RuleExecStats stats;
   const std::uint32_t route = router.add_target(rule.out.target);
   const std::size_t jcc = rule.a->jcc();
@@ -101,8 +100,7 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
     stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner,
                                                  outgoing, &stats.hot_broadcast_rows);
     profile.add_work(Phase::kIntraBucket, stats.outer_tuples_shipped);
-    received_outer =
-        exchange_alltoallv(comm, encode_all(outgoing, outer.arity()), exchange_algo);
+    received_outer = comm.alltoallv_mailbox(encode_all(outgoing, outer.arity()));
   }
 
   // ---- Phase: local join (outputs emitted into the router) ------------------
@@ -144,19 +142,17 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 }
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
-                           std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo) {
+                           std::optional<JoinOrderPolicy> forced) {
   ExchangeRouter router(comm);
-  const auto stats = execute_join(comm, profile, rule, router, forced, exchange_algo);
-  router.flush(profile, exchange_algo);
+  const auto stats = execute_join(comm, profile, rule, router, forced);
+  router.flush(profile, ExchangeAlgorithm::kDense);
   return stats;
 }
 
-RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule,
-                           ExchangeAlgorithm exchange_algo) {
+RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule) {
   ExchangeRouter router(comm);
   const auto stats = execute_copy(profile, rule, router);
-  router.flush(profile, exchange_algo);
+  router.flush(profile, ExchangeAlgorithm::kDense);
   return stats;
 }
 

@@ -97,13 +97,12 @@ struct RuleExecStats : JoinKernelTotals {
 };
 
 /// Run one join pass, emitting generated tuples into `router` (they ship
-/// at the next router flush).  Collective (the intra-bucket exchange).
-/// `forced` overrides the rule's own order policy when set (engine
-/// baseline mode); `exchange` selects the intra-bucket algorithm.
+/// at the next router flush).  Collective: the intra-bucket exchange, a
+/// dense alltoallv on the faultable entry.  `forced` overrides the rule's
+/// own order policy when set (engine baseline mode).
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            ExchangeRouter& router,
-                           std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
+                           std::optional<JoinOrderPolicy> forced = std::nullopt);
 
 /// Run one copy/project pass into `router`.  Local (copies only emit).
 RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
@@ -114,10 +113,8 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 /// kernel tests and one-shot passes; the engine routes through a shared
 /// router instead.
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
-                           std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
-RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
+                           std::optional<JoinOrderPolicy> forced = std::nullopt);
+RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule);
 
 /// Validate rule shape (arities, column references, join compatibility).
 /// Throws std::invalid_argument with a descriptive message.

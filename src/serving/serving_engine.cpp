@@ -202,10 +202,9 @@ void ServingEngine::classify_and_validate() {
 
 std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send,
                                                   std::size_t arity) {
-  // Owner-routed mutation rows ride the faultable mailbox exchange (the
-  // slot-matrix alltoallv would bypass fault injection and the reliable
-  // transport entirely), so the reliable channel checks and deduplicates
-  // every frame before the decode.
+  // Owner-routed mutation rows ride the faultable alltoallv entry, like
+  // the engines' row frames, so the reliable channel checks and
+  // deduplicates every frame before the decode.
   std::vector<vmpi::Bytes> frames(send.size());
   for (std::size_t d = 0; d < send.size(); ++d) frames[d] = vmpi::encode_rows(arity, send[d]);
   std::vector<value_t> flat;

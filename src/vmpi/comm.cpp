@@ -19,15 +19,18 @@ double wall_now() {
       .count();
 }
 
-// Wait-slice for the serviced blocking paths: short relative to the retry
-// backoff (so retransmit timers fire promptly) but coarse enough that a
-// parked rank costs ~100 wakeups/s, not a spin.
-constexpr double kServiceSliceSeconds = 0.01;
-
-/// Push under the box lock, maintaining the undelivered count.
-void enqueue_locked(detail::Mailbox& box, detail::Message m) {
-  if (!detail::deliverable(m)) ++box.undelivered;
+/// Push under the box lock, maintaining the undelivered count.  Returns
+/// whether the owner must be woken: a deliverable message its parked wait
+/// expects (Mailbox::quiet) lands silently.
+bool enqueue_locked(detail::Mailbox& box, detail::Message m) {
+  const bool deliverable = detail::deliverable(m);
+  if (!deliverable) ++box.undelivered;
   box.q.push_back(std::move(m));
+  if (deliverable && box.quiet > 0) {
+    --box.quiet;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -35,8 +38,6 @@ void enqueue_locked(detail::Mailbox& box, detail::Message m) {
 World::World(int nranks)
     : nranks_(nranks),
       barrier_(nranks),
-      slots_(static_cast<std::size_t>(nranks)),
-      matrix_(static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks)),
       mailboxes_(static_cast<std::size_t>(nranks)),
       stats_(static_cast<std::size_t>(nranks)) {
   assert(nranks >= 1);
@@ -79,8 +80,6 @@ bool World::fault_reset(double timeout_seconds) {
       box.q.clear();
       box.undelivered = 0;
     }
-    for (auto& s : slots_) s.clear();
-    for (auto& c : matrix_) c.clear();
     reset_arrived_ = 0;
     ++reset_gen_;
     reset_cv_.notify_all();
@@ -99,35 +98,38 @@ bool World::fault_reset(double timeout_seconds) {
   return true;
 }
 
-void Comm::timed_barrier_wait() {
+void Comm::barrier() {
+  if (stats_enabled_) stats().record_call(Op::kBarrier);
   flush_delayed();
   const double deadline = world_->watchdog_seconds_;
   const double t0 = wall_now();
-  try {
-    if (channel_) {
-      world_->barrier_.arrive_and_wait_serviced(
-          deadline, kServiceSliceSeconds, [this] {
-            flush_delayed();
-            service_reliable();
-            return channel_->take_progress();
-          });
-    } else {
-      world_->barrier_.arrive_and_wait(deadline);
-    }
-  } catch (const detail::WaitTimeout&) {
+  const auto charge_wait = [&] {
     if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  };
+  try {
+    std::function<bool()> service;
+    if (channel_) {
+      service = [this] {
+        flush_delayed();
+        service_reliable();
+        return channel_->take_progress();
+      };
+    }
+    world_->barrier_.arrive_and_wait(deadline, service);
+  } catch (const detail::WaitTimeout&) {
+    charge_wait();
     // Our deadline fired first: poison the world so peers blocked on us
     // unwind with their own TimeoutError instead of hanging.
     world_->fault_abort();
     throw TimeoutError("barrier", deadline, stats());
   } catch (const detail::FaultWake&) {
-    if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+    charge_wait();
     throw TimeoutError("barrier (released by peer fault)", deadline, stats());
   } catch (...) {
-    if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+    charge_wait();
     throw;
   }
-  if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  charge_wait();
 }
 
 void Comm::advance_epoch() {
@@ -217,11 +219,6 @@ void Comm::faulted_enqueue(int dst, int tag, Bytes payload) {
   if (published) box.cv.notify_all();
 }
 
-void Comm::barrier() {
-  if (stats_enabled_) stats().record_call(Op::kBarrier);
-  timed_barrier_wait();
-}
-
 void Comm::isend(int dst, int tag, std::span<const std::byte> data) {
   assert(dst >= 0 && dst < size());
   if (stats_enabled_) {
@@ -245,12 +242,7 @@ void Comm::isend(int dst, int tag, std::span<const std::byte> data) {
     return;
   }
 
-  auto& box = world_->mailboxes_[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard lock(box.m);
-    box.q.push_back(detail::Message{rank_, tag, Bytes(data.begin(), data.end())});
-  }
-  box.cv.notify_all();
+  reliable_send(dst, tag, Bytes(data.begin(), data.end()));
 }
 
 namespace {
@@ -333,110 +325,68 @@ bool Comm::fault_reset(double timeout_seconds) {
   return world_->fault_reset(timeout_seconds);
 }
 
-Bytes Comm::recv(int src, int tag, int* out_src, int* out_tag) {
+Bytes Comm::receive(int src, int tag, int* out_src, int* out_tag, bool relay,
+                    std::size_t coming) {
   // About to block: anything our own injected delays still hold must go
   // out first, or two ranks could deadlock on each other's held messages.
   flush_delayed();
-  if (channel_) return recv_reliable(src, tag, out_src, out_tag);
+  using Clock = std::chrono::steady_clock;
   auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
   const double deadline = world_->watchdog_seconds_;
+  const auto budget =
+      std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(deadline));
   const double t0 = wall_now();
-  std::unique_lock lock(box.m);
+  auto armed = Clock::now();
+  const auto charge_wait = [&] {
+    if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  };
+  const auto match = [&](const detail::Message& m) { return matches(m, src, tag); };
   for (;;) {
-    auto it = std::find_if(box.q.begin(), box.q.end(),
-                           [&](const detail::Message& m) { return matches(m, src, tag); });
+    if (channel_) {
+      service_reliable();  // may escalate to TimeoutError on budget exhaustion
+      if (channel_->take_progress()) armed = Clock::now();
+    }
+    std::unique_lock lock(box.m);
+    auto it = std::find_if(box.q.begin(), box.q.end(), match);
     if (it != box.q.end()) {
       detail::Message m = std::move(*it);
       box.q.erase(it);
       if (out_src != nullptr) *out_src = m.src;
       if (out_tag != nullptr) *out_tag = m.tag;
-      if (stats_enabled_) {
-        auto& st = stats();
-        st.messages_received += 1;
-        st.p2p_bytes_received += m.payload.size();
-        st.wait_seconds += wall_now() - t0;
+      if (stats_enabled_ && !relay) {
+        stats().messages_received += 1;
+        stats().p2p_bytes_received += m.payload.size();
       }
+      charge_wait();
       return std::move(m.payload);
     }
     if (box.aborted) throw WorldAborted{};
     if (box.faulted) {
       lock.unlock();
-      if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+      charge_wait();
       throw TimeoutError("recv (released by peer fault)", deadline, stats());
     }
-    const auto pred = [&] {
-      return box.aborted || box.faulted ||
-             std::any_of(box.q.begin(), box.q.end(),
-                         [&](const detail::Message& m) { return matches(m, src, tag); });
-    };
-    if (deadline > 0) {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double>(deadline - (wall_now() - t0)));
-      if (!box.cv.wait_until(lock, until, pred)) {
-        lock.unlock();
-        if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
-        world_->fault_abort();
-        throw TimeoutError("recv", deadline, stats());
-      }
-    } else {
-      box.cv.wait(lock, pred);
-    }
-  }
-}
-
-Bytes Comm::recv_reliable(int src, int tag, int* out_src, int* out_tag) {
-  // The serviced variant of recv: a rank parked here still answers its
-  // transport obligations (retransmit timers, inbound acks/nacks) by
-  // slicing the wait.  The watchdog is re-armed on every healing round
-  // that makes progress — a cumulative ack advancing or a fresh frame
-  // landing — so a wait that is slow *because it is healing* does not
-  // time out, while a genuinely dead peer still does.  alltoallv_mailbox
-  // receives ride this path too, so its waits get the same per-round re-arm.
-  auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
-  const double deadline = world_->watchdog_seconds_;
-  const double t0 = wall_now();
-  double armed = t0;
-  for (;;) {
-    service_reliable();  // may escalate to TimeoutError on budget exhaustion
-    if (channel_->take_progress()) armed = wall_now();
-    {
-      std::unique_lock lock(box.m);
-      auto it = std::find_if(box.q.begin(), box.q.end(), [&](const detail::Message& m) {
-        return matches(m, src, tag);
-      });
-      if (it != box.q.end()) {
-        detail::Message m = std::move(*it);
-        box.q.erase(it);
-        if (out_src != nullptr) *out_src = m.src;
-        if (out_tag != nullptr) *out_tag = m.tag;
-        if (stats_enabled_) {
-          auto& st = stats();
-          st.messages_received += 1;
-          st.p2p_bytes_received += m.payload.size();
-          st.wait_seconds += wall_now() - t0;
-        }
-        return std::move(m.payload);
-      }
-      if (box.aborted) throw WorldAborted{};
-      if (box.faulted) {
-        lock.unlock();
-        if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
-        throw TimeoutError("recv (released by peer fault)", deadline, stats());
-      }
-      const auto pred = [&] {
-        return box.aborted || box.faulted || box.undelivered > 0 ||
-               std::any_of(box.q.begin(), box.q.end(), [&](const detail::Message& m) {
-                 return matches(m, src, tag);
-               });
-      };
-      box.cv.wait_for(lock, std::chrono::duration<double>(kServiceSliceSeconds), pred);
-    }
-    if (deadline > 0 && wall_now() - armed > deadline) {
-      if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+    if (deadline > 0 && Clock::now() - armed >= budget) {
+      lock.unlock();
+      charge_wait();
       world_->fault_abort();
       throw TimeoutError("recv", deadline, stats());
     }
+    // An undelivered frame (enveloped data, a control frame) wakes a
+    // serviced wait early; without a channel there are none.
+    const auto pred = [&] {
+      return box.aborted || box.faulted || box.undelivered > 0 ||
+             std::any_of(box.q.begin(), box.q.end(), match);
+    };
+    box.quiet = coming - 1;
+    if (channel_) {
+      box.cv.wait_for(lock, detail::kServiceSlice, pred);
+    } else if (deadline > 0) {
+      box.cv.wait_until(lock, armed + budget, pred);
+    } else {
+      box.cv.wait(lock, pred);
+    }
+    box.quiet = 0;
   }
 }
 
@@ -457,11 +407,12 @@ std::vector<Bytes> Comm::allgatherv(std::span<const std::byte> mine) {
 
 void Comm::reliable_send(int dst, int tag, Bytes payload) {
   auto& box = world_->mailboxes_[static_cast<std::size_t>(dst)];
+  bool wake = false;
   {
     std::lock_guard lock(box.m);
-    enqueue_locked(box, detail::Message{rank_, tag, std::move(payload)});
+    wake = enqueue_locked(box, detail::Message{rank_, tag, std::move(payload)});
   }
-  box.cv.notify_all();
+  if (wake) box.cv.notify_all();
 }
 
 std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
@@ -483,9 +434,9 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
   // not modelled traffic): recursive doubling ships 1 + 2 + ... + n/2 =
   // n-1 blocks per rank, and dissemination truncates its last step to
   // n - 2^floor(log2 n) blocks, so both move exactly n-1 blocks per rank.
-  // Stats are recorded manually (call, per-partner locality, steps,
-  // exposed wait); the internal sends/recvs run under StatsPause so the
-  // p2p counters stay clean.
+  // Stats are recorded manually (call, per-partner locality, steps); the
+  // relay legs touch no p2p counter, and relay_recv charges the exposed
+  // wait.
   const bool record = stats_enabled_;
   const int tag_base =
       kSchedTagBase +
@@ -502,79 +453,72 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
     st.record_send(op, have[static_cast<std::size_t>(rank_)].size(), false, false);
   }
 
-  double waited = 0;
   std::uint64_t rounds = 0;
-  {
-    StatsPause pause(*this);
+  // Serialize + ship the listed blocks to `to`; account their payload
+  // bytes against the partner's locality.
+  const auto send_blocks = [&](int to, const std::vector<int>& srcs) {
+    BufferWriter w;
+    std::uint64_t payload_bytes = 0;
+    for (const int s : srcs) {
+      const auto& block = have[static_cast<std::size_t>(s)];
+      w.put<std::int32_t>(s);
+      w.put<std::uint64_t>(block.size());
+      w.put_span(std::span<const std::byte>(block));
+      payload_bytes += block.size();
+    }
+    if (record) {
+      st.record_send(op, payload_bytes, true, !world_->topo_.same_node(rank_, to));
+    }
+    reliable_send(to, tag_base + static_cast<int>(rounds), w.take());
+  };
 
-    // Serialize + ship the listed blocks to `to`; account their payload
-    // bytes against the partner's locality.
-    const auto send_blocks = [&](int to, const std::vector<int>& srcs) {
-      BufferWriter w;
-      std::uint64_t payload_bytes = 0;
-      for (const int s : srcs) {
-        const auto& block = have[static_cast<std::size_t>(s)];
-        w.put<std::int32_t>(s);
-        w.put<std::uint64_t>(block.size());
-        w.put_span(std::span<const std::byte>(block));
-        payload_bytes += block.size();
+  // Receive one relay frame from `from` and absorb its blocks.
+  const auto recv_blocks = [&](int from) {
+    const Bytes frame = relay_recv(from, tag_base + static_cast<int>(rounds));
+    BufferReader r(frame);
+    while (!r.done()) {
+      const auto src = r.get<std::int32_t>();
+      const auto len = r.get<std::uint64_t>();
+      if (src < 0 || src >= n || present[static_cast<std::size_t>(src)] != 0) {
+        throw std::logic_error("vmpi: block allgather relayed a bad block");
       }
-      if (record) {
-        st.record_send(op, payload_bytes, true, !world_->topo_.same_node(rank_, to));
-      }
-      reliable_send(to, tag_base + static_cast<int>(rounds), w.take());
-    };
+      auto& block = have[static_cast<std::size_t>(src)];
+      block.resize(static_cast<std::size_t>(len));
+      r.get_into(std::span<std::byte>(block));
+      present[static_cast<std::size_t>(src)] = 1;
+    }
+  };
 
-    // Receive one relay frame from `from` and absorb its blocks.
-    const auto recv_blocks = [&](int from) {
-      const double t0 = wall_now();
-      const Bytes frame = recv(from, tag_base + static_cast<int>(rounds));
-      waited += wall_now() - t0;
-      BufferReader r(frame);
-      while (!r.done()) {
-        const auto src = r.get<std::int32_t>();
-        const auto len = r.get<std::uint64_t>();
-        if (src < 0 || src >= n || present[static_cast<std::size_t>(src)] != 0) {
-          throw std::logic_error("vmpi: block allgather relayed a bad block");
-        }
-        auto& block = have[static_cast<std::size_t>(src)];
-        block.resize(static_cast<std::size_t>(len));
-        r.get_into(std::span<std::byte>(block));
-        present[static_cast<std::size_t>(src)] = 1;
-      }
-    };
+  const auto held = [&]() {
+    std::vector<int> srcs;
+    for (int s = 0; s < n; ++s) {
+      if (present[static_cast<std::size_t>(s)] != 0) srcs.push_back(s);
+    }
+    return srcs;
+  };
 
-    const auto held = [&]() {
+  if (pow2) {
+    for (int k = 0; (1 << k) < n; ++k) {
+      const int partner = rank_ ^ (1 << k);
+      send_blocks(partner, held());
+      recv_blocks(partner);
+      ++rounds;
+    }
+  } else {
+    // Dissemination (Bruck) fallback for non-power-of-two rank counts:
+    // after k rounds this rank holds blocks {rank..rank+2^k-1} (mod n);
+    // round k ships the first min(2^k, n-2^k) of them to rank-2^k, so
+    // the truncated last round still totals exactly n-1 blocks.
+    for (int pow = 1; pow < n; pow <<= 1) {
+      const int to = ((rank_ - pow) % n + n) % n;
+      const int from = (rank_ + pow) % n;
+      const int cnt = pow < n - pow ? pow : n - pow;
       std::vector<int> srcs;
-      for (int s = 0; s < n; ++s) {
-        if (present[static_cast<std::size_t>(s)] != 0) srcs.push_back(s);
-      }
-      return srcs;
-    };
-
-    if (pow2) {
-      for (int k = 0; (1 << k) < n; ++k) {
-        const int partner = rank_ ^ (1 << k);
-        send_blocks(partner, held());
-        recv_blocks(partner);
-        ++rounds;
-      }
-    } else {
-      // Dissemination (Bruck) fallback for non-power-of-two rank counts:
-      // after k rounds this rank holds blocks {rank..rank+2^k-1} (mod n);
-      // round k ships the first min(2^k, n-2^k) of them to rank-2^k, so
-      // the truncated last round still totals exactly n-1 blocks.
-      for (int pow = 1; pow < n; pow <<= 1) {
-        const int to = ((rank_ - pow) % n + n) % n;
-        const int from = (rank_ + pow) % n;
-        const int cnt = pow < n - pow ? pow : n - pow;
-        std::vector<int> srcs;
-        srcs.reserve(static_cast<std::size_t>(cnt));
-        for (int j = 0; j < cnt; ++j) srcs.push_back((rank_ + j) % n);
-        send_blocks(to, srcs);
-        recv_blocks(from);
-        ++rounds;
-      }
+      srcs.reserve(static_cast<std::size_t>(cnt));
+      for (int j = 0; j < cnt; ++j) srcs.push_back((rank_ + j) % n);
+      send_blocks(to, srcs);
+      recv_blocks(from);
+      ++rounds;
     }
   }
 
@@ -583,10 +527,7 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
       throw std::logic_error("vmpi: block allgather finished incomplete");
     }
   }
-  if (record) {
-    st.record_steps(op, rounds);
-    st.wait_seconds += waited;
-  }
+  if (record) st.record_steps(op, rounds);
   return have;
 }
 
@@ -602,13 +543,12 @@ Bytes Comm::bcast(int root, std::span<const std::byte> data) {
       }
     }
   }
-  if (rank_ == root) {
-    world_->slots_[static_cast<std::size_t>(root)] = Bytes(data.begin(), data.end());
+  const int tag = next_mailbox_tag();
+  if (rank_ != root) return relay_recv(root, tag);
+  for (int d = 0; d < size(); ++d) {
+    if (d != root) reliable_send(d, tag, Bytes(data.begin(), data.end()));
   }
-  timed_barrier_wait();
-  Bytes out = world_->slots_[static_cast<std::size_t>(root)];
-  timed_barrier_wait();
-  return out;
+  return Bytes(data.begin(), data.end());
 }
 
 std::vector<Bytes> Comm::gatherv(int root, std::span<const std::byte> mine) {
@@ -618,46 +558,25 @@ std::vector<Bytes> Comm::gatherv(int root, std::span<const std::byte> mine) {
     st.record_send(Op::kGather, mine.size(), rank_ != root,
                    rank_ != root && !world_->topo_.same_node(rank_, root));
   }
-
-  world_->slots_[static_cast<std::size_t>(rank_)] = Bytes(mine.begin(), mine.end());
-  timed_barrier_wait();
-  std::vector<Bytes> all;
-  if (rank_ == root) all.assign(world_->slots_.begin(), world_->slots_.end());
-  timed_barrier_wait();
+  const int tag = next_mailbox_tag();
+  if (rank_ != root) {
+    reliable_send(root, tag, Bytes(mine.begin(), mine.end()));
+    return {};
+  }
+  // Receive per source: a peer may run gathervs ahead of the root, and
+  // FIFO matching on (source, tag) keeps each call's frames apart.
+  std::vector<Bytes> all(static_cast<std::size_t>(size()));
+  for (int s = 0; s < size(); ++s) {
+    all[static_cast<std::size_t>(s)] =
+        s == root ? Bytes(mine.begin(), mine.end()) : relay_recv(s, tag);
+  }
   return all;
 }
 
-std::vector<Bytes> Comm::alltoallv(std::vector<Bytes> send) {
+std::vector<Bytes> Comm::exchange(std::vector<Bytes> send, bool faultable) {
   const auto n = static_cast<std::size_t>(size());
+  const auto me = static_cast<std::size_t>(rank_);
   assert(send.size() == n && "alltoallv send vector must have one buffer per rank");
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.record_call(Op::kAlltoallv);
-    for (std::size_t d = 0; d < n; ++d) {
-      const bool remote = d != static_cast<std::size_t>(rank_);
-      st.record_send(Op::kAlltoallv, send[d].size(), remote,
-                     remote && !world_->topo_.same_node(rank_, static_cast<int>(d)));
-    }
-    st.record_steps(Op::kAlltoallv, 1);  // one dense matrix phase
-  }
-
-  const auto me = static_cast<std::size_t>(rank_);
-  for (std::size_t d = 0; d < n; ++d) {
-    world_->matrix_[me * n + d] = std::move(send[d]);
-  }
-  timed_barrier_wait();
-  std::vector<Bytes> got(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    got[s] = std::move(world_->matrix_[s * n + me]);  // each cell read exactly once
-  }
-  timed_barrier_wait();
-  return got;
-}
-
-std::vector<Bytes> Comm::alltoallv_mailbox(std::vector<Bytes> send) {
-  const auto n = static_cast<std::size_t>(size());
-  const auto me = static_cast<std::size_t>(rank_);
-  assert(send.size() == n && "alltoallv_mailbox send vector must have one buffer per rank");
   if (stats_enabled_) {
     auto& st = stats();
     st.record_call(Op::kAlltoallv);
@@ -669,32 +588,34 @@ std::vector<Bytes> Comm::alltoallv_mailbox(std::vector<Bytes> send) {
     st.record_steps(Op::kAlltoallv, 1);
   }
 
-  const int tag = kMailboxTagBase + static_cast<int>(mailbox_seq_++ % kMailboxTagWindow);
+  const int tag = next_mailbox_tag();
   std::vector<Bytes> got(n);
   got[me] = std::move(send[me]);
-  double t0 = 0;
-  {
-    // The frames' bytes are already accounted under Op::kAlltoallv above,
-    // so the internal p2p must not double-count.
-    StatsPause pause(*this);
-    for (std::size_t d = 0; d < n; ++d) {
-      if (d != me) isend(static_cast<int>(d), tag, send[d]);
-    }
-    t0 = wall_now();
-    std::vector<std::uint8_t> arrived(n, 0);
-    for (std::size_t left = n - 1; left > 0; --left) {
-      int src = 0;
-      Bytes payload = recv(kAnySource, tag, &src);
-      // The reliable channel delivers each faultable frame exactly once,
-      // so a second frame from one source is a protocol violation.
-      if (std::exchange(arrived[static_cast<std::size_t>(src)], 1) != 0) {
-        throw std::logic_error("vmpi: alltoallv_mailbox received a second frame from rank " +
-                               std::to_string(src));
-      }
-      got[static_cast<std::size_t>(src)] = std::move(payload);
+  // Every remote buffer ships, empty ones included: the receiver counts
+  // exactly n-1 arrivals.
+  const bool channelled = faultable && channel_ != nullptr;
+  for (std::size_t d = 0; d < n; ++d) {
+    if (d == me) continue;
+    if (channelled) {
+      faulted_enqueue(static_cast<int>(d), tag,
+                      channel_->send_data(static_cast<int>(d), tag, send[d], wall_now()));
+    } else {
+      reliable_send(static_cast<int>(d), tag, std::move(send[d]));
     }
   }
-  if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  if (channelled) service_reliable();
+  std::vector<std::uint8_t> arrived(n, 0);
+  for (std::size_t left = n - 1; left > 0; --left) {
+    int src = 0;
+    Bytes payload = relay_recv(kAnySource, tag, &src, left);
+    // The reliable channel delivers each faultable frame exactly once,
+    // so a second frame from one source is a protocol violation.
+    if (std::exchange(arrived[static_cast<std::size_t>(src)], 1) != 0) {
+      throw std::logic_error("vmpi: alltoallv received a second frame from rank " +
+                             std::to_string(src));
+    }
+    got[static_cast<std::size_t>(src)] = std::move(payload);
+  }
   return got;
 }
 
@@ -793,8 +714,8 @@ std::vector<Bytes> Comm::alltoallv_bruck(std::vector<Bytes> send) {
     auto& buf = out[static_cast<std::size_t>(item.src)];
     buf.insert(buf.end(), item.payload.begin(), item.payload.end());
   }
-  // Fence: prevents tag reuse across back-to-back Bruck calls and keeps
-  // collective symmetry with the dense alltoallv.
+  // Fence: no rank leaves a call before every rank holds its buffers, so
+  // a round starved by a lost relay frame fails the call on every rank.
   barrier();
   return out;
 }

@@ -6,10 +6,13 @@
 // This substrate reproduces the subset of MPI the engine uses — blocking
 // and nonblocking point-to-point, barrier, allreduce, allgather(v), bcast,
 // gather(v), alltoall(v) — with ranks realised as OS threads inside one
-// process.  Semantics follow MPI: every transfer is a *copy* between
-// logically disjoint per-rank address spaces, collectives are collective
-// (every rank of the communicator must call them, in the same order), and
-// results are deterministic (reductions fold in rank order).
+// process.  Semantics follow MPI: ranks share no buffers (a payload is
+// copied into, or moved through, the receiver's mailbox), collectives are
+// collective (every rank of the communicator must call them, in the same
+// order), and results are deterministic (reductions fold in rank order).
+//
+// Every collective moves its payloads through per-rank mailboxes; only
+// the barrier, a generation counter, moves nothing.
 //
 // Why a substrate and not a mock: the engine's communication pattern (who
 // sends how many bytes to whom, in which phase) *is* the paper's subject.
@@ -55,6 +58,11 @@ namespace detail {
 struct WaitTimeout {};  // this waiter's own deadline expired
 struct FaultWake {};    // a peer's timeout / fault poisoned the world
 
+/// Park slice of a wait that services the reliable channel: short against
+/// the retry backoff, coarse enough not to spin.  Waits without an engaged
+/// channel are never sliced.
+inline constexpr std::chrono::milliseconds kServiceSlice{10};
+
 /// Classic generation-counting barrier (condition-variable based; the
 /// container has one physical core, so spinning would be pathological).
 /// Abortable two ways: `abort()` releases all current and future waiters
@@ -66,7 +74,14 @@ class Barrier {
  public:
   explicit Barrier(int n) : n_(n) {}
 
-  void arrive_and_wait(double timeout_seconds = 0) {
+  /// Arrive and park until the generation completes, for at most
+  /// `timeout_seconds` (0 = no deadline): one condition-variable wait, or,
+  /// with a `service` pump (the reliable channel's, while one is engaged),
+  /// 10 ms slices so a sender with unacked frames keeps healing its peers.
+  /// `service` runs with the lock dropped and this rank's arrival counted;
+  /// returning true (healing progress) re-arms the deadline.
+  void arrive_and_wait(double timeout_seconds = 0,
+                       const std::function<bool()>& service = {}) {
     std::unique_lock lock(m_);
     if (aborted_) throw WorldAborted{};
     if (faulted_) throw FaultWake{};
@@ -78,64 +93,38 @@ class Barrier {
       return;
     }
     const auto pred = [&] { return gen_ != my_gen || aborted_ || faulted_; };
-    if (timeout_seconds > 0) {
-      if (!cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds), pred)) {
-        // Withdraw our arrival so the count cannot complete a generation
-        // we already gave up on (the caller fault-aborts the world next).
-        if (gen_ == my_gen && arrived_ > 0) --arrived_;
+    // Withdraw our arrival so the count cannot complete a generation we
+    // gave up on (the caller fault-aborts the world next).
+    const auto withdraw = [&] {
+      if (gen_ == my_gen && arrived_ > 0) --arrived_;
+    };
+    using Clock = std::chrono::steady_clock;
+    const auto budget = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(timeout_seconds));
+    auto armed = Clock::now();
+    while (!pred()) {
+      if (timeout_seconds > 0 && Clock::now() - armed >= budget) {
+        withdraw();
         throw WaitTimeout{};
       }
-    } else {
-      cv_.wait(lock, pred);
-    }
-    if (gen_ == my_gen) {
-      if (aborted_) throw WorldAborted{};
-      if (faulted_) throw FaultWake{};
-    }
-  }
-
-  /// As arrive_and_wait, but slices the park so `service` (the reliable
-  /// transport pump) keeps running while this rank waits: a barrier is
-  /// exactly where a sender with unacked frames would otherwise go silent
-  /// and starve its peers' heals.  `service` runs with the barrier lock
-  /// dropped and this rank's arrival retained (the generation may complete
-  /// underneath — that is fine, the arrival already counted); returning
-  /// true (healing progress) re-arms the watchdog deadline, so a long heal
-  /// under a generous retry budget cannot trip it spuriously.  The slice
-  /// must be short relative to the retry backoff: control-frame arrivals
-  /// wake the mailbox cv, not this one.
-  void arrive_and_wait_serviced(double timeout_seconds, double slice_seconds,
-                                const std::function<bool()>& service) {
-    std::unique_lock lock(m_);
-    if (aborted_) throw WorldAborted{};
-    if (faulted_) throw FaultWake{};
-    const auto my_gen = gen_;
-    if (++arrived_ == n_) {
-      arrived_ = 0;
-      ++gen_;
-      cv_.notify_all();
-      return;
-    }
-    const auto pred = [&] { return gen_ != my_gen || aborted_ || faulted_; };
-    auto armed = std::chrono::steady_clock::now();
-    for (;;) {
-      if (cv_.wait_for(lock, std::chrono::duration<double>(slice_seconds), pred)) break;
-      lock.unlock();
-      bool progressed = false;
-      try {
-        progressed = service();
-      } catch (...) {
-        lock.lock();
-        if (gen_ == my_gen && arrived_ > 0) --arrived_;
-        throw;
-      }
-      lock.lock();
-      if (pred()) break;
-      if (progressed) armed = std::chrono::steady_clock::now();
-      if (timeout_seconds > 0 && std::chrono::steady_clock::now() - armed >
-                                     std::chrono::duration<double>(timeout_seconds)) {
-        if (gen_ == my_gen && arrived_ > 0) --arrived_;
-        throw WaitTimeout{};
+      if (service) {
+        if (!cv_.wait_for(lock, kServiceSlice, pred)) {
+          lock.unlock();
+          bool progressed = false;
+          try {
+            progressed = service();
+          } catch (...) {
+            lock.lock();
+            withdraw();
+            throw;
+          }
+          lock.lock();
+          if (progressed) armed = Clock::now();
+        }
+      } else if (timeout_seconds > 0) {
+        cv_.wait_until(lock, armed + budget, pred);
+      } else {
+        cv_.wait(lock, pred);
       }
     }
     if (gen_ == my_gen) {
@@ -202,12 +191,17 @@ struct Mailbox {
   /// Count of queued messages that are NOT deliverable (enveloped data +
   /// control frames); lets consumers skip the service scan when zero.
   std::size_t undelivered = 0;
+  /// Deliverable arrivals that land without waking the parked owner (set
+  /// by a receive leg expecting several frames; cleared when it wakes).
+  std::size_t quiet = 0;
 };
 
 }  // namespace detail
 
-/// Shared state for one group of ranks.  Constructed once, handed to every
-/// rank thread; all members are synchronised internally.
+/// Shared state for one group of ranks: one mailbox per rank, the barrier,
+/// and the launch-time settings.  It holds no collective buffers — every
+/// collective moves its payloads through the mailboxes.  Constructed once,
+/// handed to every rank thread; all members are synchronised internally.
 class World {
  public:
   explicit World(int nranks);
@@ -245,16 +239,16 @@ class World {
   /// batch rollback needs it, because lookups are collectives and serving
   /// after an aborted batch requires a clean world.  Every live rank must
   /// call this; the last arrival clears the barrier/mailbox poison and
-  /// purges stranded messages and collective slots while all peers are
-  /// parked here (so no rank is mid-send).  Returns false if the
+  /// purges stranded messages while all peers are parked here (so no rank
+  /// is mid-send).  Returns false if the
   /// rendezvous does not complete within `timeout_seconds` (a rank is
   /// truly gone): the world stays poisoned and the caller must stop
   /// serving.  abort() poisoning (real process death) is not resettable.
   bool fault_reset(double timeout_seconds);
 
-  /// Deadline (seconds) for every blocking wait: barrier / collective
-  /// rendezvous, recv.  0 disables the watchdog (the default — fault-free
-  /// runs must not pay spurious wakeups).
+  /// Deadline (seconds) for every blocking wait: the barrier and recv,
+  /// which every collective's receive legs use.  0 disables the watchdog
+  /// (the default — fault-free runs must not pay spurious wakeups).
   void set_watchdog(double seconds) { watchdog_seconds_ = seconds; }
   [[nodiscard]] double watchdog_seconds() const { return watchdog_seconds_; }
 
@@ -284,10 +278,6 @@ class World {
   std::condition_variable reset_cv_;
   int reset_arrived_ = 0;
   std::uint64_t reset_gen_ = 0;
-  // Collective exchange area: slot per rank, double-barrier protected.
-  std::vector<Bytes> slots_;
-  // alltoallv exchange matrix: cell (src, dst).
-  std::vector<Bytes> matrix_;
   std::vector<detail::Mailbox> mailboxes_;
   std::vector<CommStats> stats_;
 };
@@ -375,6 +365,8 @@ class Comm {
 
   // -- synchronisation ------------------------------------------------------
 
+  /// Park until every rank arrived, bounded by the watchdog, servicing an
+  /// engaged reliable channel meanwhile.  Touches no mailbox.
   void barrier();
 
   // -- point-to-point -------------------------------------------------------
@@ -388,7 +380,11 @@ class Comm {
   /// Returns the payload; out_src / out_tag receive the envelope if non-null.
   /// Matching is FIFO over this rank's mailbox: among queued messages that
   /// match the pattern, the earliest-enqueued one is delivered first.
-  Bytes recv(int src, int tag, int* out_src = nullptr, int* out_tag = nullptr);
+  /// Bounded by the watchdog; with a reliable channel engaged the wait
+  /// services it, and healing progress re-arms the deadline.
+  Bytes recv(int src, int tag, int* out_src = nullptr, int* out_tag = nullptr) {
+    return receive(src, tag, out_src, out_tag, /*relay=*/false, 1);
+  }
 
   /// Nonblocking probe: true if a matching message is queued.
   [[nodiscard]] bool iprobe(int src, int tag);
@@ -416,28 +412,31 @@ class Comm {
   /// rank.
   std::vector<Bytes> allgatherv(std::span<const std::byte> mine);
 
-  /// Root's buffer is copied to every rank.
+  /// Root's buffer is copied to every rank: one relay send to each peer
+  /// (no fault injection, like every collective but alltoallv_mailbox).
   Bytes bcast(int root, std::span<const std::byte> data);
 
   /// Root receives all buffers (indexed by rank); non-roots get empty.
+  /// Each non-root makes one relay send to the root.
   std::vector<Bytes> gatherv(int root, std::span<const std::byte> mine);
 
-  /// Personalised exchange: send[d] goes to rank d; returns recv[s] from
-  /// each rank s.  This is MPI_Alltoallv, the engine's tuple-shuffle
-  /// primitive.
-  std::vector<Bytes> alltoallv(std::vector<Bytes> send);
+  /// Personalised exchange (MPI_Alltoallv): send[d] goes to rank d;
+  /// returns recv[s] from each rank s, the self-destined buffer included.
+  /// n-1 relay sends (moved, not copied) and n-1 receives on one rotated
+  /// tag, recorded as one call and one step.  The one-shot moves run here
+  /// (fact loads, reshuffles, hot-key moves, alltoallv_t).
+  std::vector<Bytes> alltoallv(std::vector<Bytes> send) {
+    return exchange(std::move(send), /*faultable=*/false);
+  }
 
-  /// Same contract and accounting as alltoallv (one call, one step, the
-  /// same per-destination bytes under Op::kAlltoallv), but each remote
-  /// buffer travels as one mailbox message: the faultable path, so an
-  /// installed FaultPlan's drops, duplicates, delays and corruption reach
-  /// it and the reliable channel checks and heals every frame (the
-  /// slot-matrix alltoallv models a reliable substrate and bypasses
-  /// both).  Blocks until every peer's buffer arrived — the parked time is
-  /// charged to CommStats::wait_seconds — and returns recv[s] indexed by
-  /// source rank, the self-destined buffer included.  Serving's mutation
-  /// exchange and the hierarchical router's leaders' exchange run on it.
-  std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send);
+  /// alltoallv with the remote buffers on the faultable path, where the
+  /// FaultPlan reaches them and the reliable channel heals them; the same
+  /// exchange without an engaged channel.  A running engine's row frames
+  /// ride it: router flushes, intra-bucket exchanges, the hierarchical
+  /// leaders' exchange and serving's mutation rows.
+  std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send) {
+    return exchange(std::move(send), /*faultable=*/true);
+  }
 
   /// Same contract as alltoallv, routed through ceil(log2 n) point-to-point
   /// rounds (the Bruck algorithm the PARALAGG authors optimise in their
@@ -547,14 +546,26 @@ class Comm {
   /// (fault.hpp's scope note).
   std::vector<Bytes> gather_blocks(Bytes mine, Op op);
 
-  /// Direct mailbox enqueue: no fault injection, no stats — the reliable
-  /// substrate the block allgather relays over.
-  void reliable_send(int dst, int tag, Bytes payload);
+  /// The one body of alltoallv and alltoallv_mailbox.
+  std::vector<Bytes> exchange(std::vector<Bytes> send, bool faultable);
 
-  /// arrive_and_wait with the parked wall time charged to wait_seconds,
-  /// bounded by the world's watchdog; held (delayed) sends are released
-  /// first.  Internal wake sentinels become TimeoutError here.
-  void timed_barrier_wait();
+  /// The one blocking receive.  A `relay` leg (a collective's) touches no
+  /// p2p counter, and its caller takes `coming` matches back to back: a
+  /// parked wait sleeps until the last of them could have arrived.
+  Bytes receive(int src, int tag, int* out_src, int* out_tag, bool relay,
+                std::size_t coming);
+  Bytes relay_recv(int src, int tag, int* out_src = nullptr, std::size_t coming = 1) {
+    return receive(src, tag, out_src, nullptr, /*relay=*/true, coming);
+  }
+
+  /// Tag of the next alltoallv, alltoallv_mailbox, bcast or gatherv.
+  int next_mailbox_tag() {
+    return kMailboxTagBase + static_cast<int>(mailbox_seq_++ % kMailboxTagWindow);
+  }
+
+  /// Direct mailbox enqueue: no fault injection, no stats — the reliable
+  /// substrate every collective relays over.
+  void reliable_send(int dst, int tag, Bytes payload);
 
   /// Enqueue an enveloped reliable-transport frame for `dst` under the
   /// installed FaultPlan: may drop, duplicate, corrupt, or hold the frame
@@ -573,14 +584,9 @@ class Comm {
   /// boundaries; no-op without an engaged channel.
   void service_reliable();
 
-  /// recv when the reliable channel is engaged: a sliced wait that keeps
-  /// the transport serviced and re-arms the watchdog deadline on every
-  /// healing progress (per retransmit round, not once per call).
-  Bytes recv_reliable(int src, int tag, int* out_src, int* out_tag);
-
-  // Dedicated tag space for alltoallv_mailbox frames, disjoint from the
-  // Bruck relay (0x42......) and the async engine's tags.  Rotated per call
-  // in SPMD order: a fast rank's next exchange may land in a peer's mailbox
+  // Tag space of alltoallv, bcast and gatherv, disjoint from the Bruck
+  // relay (0x42......) and the async engine's tags.  Rotated per call in
+  // SPMD order: a fast rank's next collective may land in a peer's mailbox
   // while that peer still drains the current one, and must not match it.
   static constexpr int kMailboxTagBase = 0x41A20000;
   static constexpr std::uint64_t kMailboxTagWindow = 4096;
@@ -594,7 +600,7 @@ class Comm {
   static constexpr int kBruckRoundsPerCall = 64;  // log2(nranks) bound
 
   // Block-allgather relay tags (recursive doubling / dissemination
-  // rounds), disjoint from the mailbox alltoallv (0x41A2....),
+  // rounds), disjoint from the personalised collectives (0x41A2....),
   // Bruck (0x42......), async (0x51A5..../0x53AF....), and hierarchical
   // router (0x48A.....) spaces.  Rotated per call like the Bruck tags.
   static constexpr int kSchedTagBase = 0x44000000;

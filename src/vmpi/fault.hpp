@@ -9,14 +9,17 @@
 // function of (seed, src, dst, per-edge sequence number), so any observed
 // schedule is replayable from its seed alone.
 //
-// Scope: only mailbox *messages* sent via isend are faultable (isend/
-// recv/drain, the mailbox alltoallv, the Bruck relay, and the
-// hierarchical router's intra-node legs all ride that path).  The
-// slot/matrix collectives (bcast, gather, dense alltoallv) and the
-// symmetric collectives (allreduce / allgather — their recursive-doubling
-// or dissemination relay rounds use a direct reliable enqueue) model the
-// reliable transport underneath MPI's collectives; they are perturbed
-// only indirectly, via the stall/kill epochs and the watchdog.
+// Scope: a running engine's row frames are faultable; collective relays
+// and one-shot moves are not.  Faultable are messages sent via isend
+// (async deltas, the Safra token, the hierarchical router's intra-node
+// legs), the Bruck relay, and alltoallv_mailbox (router flushes, the
+// join's intra-bucket exchange, the hierarchical leaders' exchange,
+// serving's mutation rows).  The plain alltoallv (fact loads, reshuffles,
+// hot-key moves), bcast, gatherv and the symmetric collectives' rounds
+// relay over a direct enqueue that models MPI's reliable transport; they
+// are perturbed only via the stall/kill epochs and the watchdog.  A fact
+// load on the faultable path would let a retry-0 drop escape the
+// engines' single catch site as an exception out of the load.
 //
 // Failure surfacing is layered on top (see comm.hpp): a watchdog deadline
 // on every blocking wait converts the silent hang an injected fault would

@@ -99,7 +99,7 @@ struct RetryPolicy {
 };
 
 /// Tag of the ACK/NACK control messages; disjoint from every application
-/// tag space (mailbox alltoallv 0x41A2...., Bruck 0x42......, scheduled
+/// tag space (alltoallv / bcast / gatherv 0x41A2...., Bruck 0x42......, scheduled
 /// collectives 0x44......, hierarchical router 0x48A....., async
 /// 0x51A5..../0x53AF....).  Control frames are never visible to recv /
 /// iprobe matching.

@@ -74,8 +74,9 @@ struct CommStats {
   std::uint64_t messages_received = 0;  // p2p messages delivered by recv
   std::uint64_t p2p_bytes_received = 0; // payload bytes delivered by recv
   /// Wall seconds this rank spent parked inside blocking primitives
-  /// (barriers, collective rendezvous, recv).  For BSP runs this is the
-  /// barrier-wait cost skew inflicts; for async runs it is idle drain time.
+  /// (barriers, collectives' receive legs, recv).  For BSP runs this is
+  /// the collective-wait cost skew inflicts; for async runs it is idle
+  /// drain time.
   double wait_seconds = 0;
   /// Fault-injection accounting (always recorded, even under StatsPause:
   /// a fault schedule is diagnostic state, not measured traffic).  Sender

@@ -163,7 +163,6 @@ TEST(Determinism, FixpointsIdenticalAcrossExchangesAndTopologies) {
   // the same fixpoint bit for bit.
   const Variant variants[] = {
       {"flat/dense", 0, core::ExchangeAlgorithm::kDense, 0},
-      {"flat/bruck", 0, core::ExchangeAlgorithm::kBruck, 0},
       {"2x4/hier", 2, core::ExchangeAlgorithm::kHierarchical, 0},
       {"4x2/hier", 4, core::ExchangeAlgorithm::kHierarchical, 0},
       {"flat/dense+skew", 0, core::ExchangeAlgorithm::kDense, 16},

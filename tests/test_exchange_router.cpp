@@ -448,14 +448,13 @@ struct ThreeRuleTc {
   }
 };
 
-void expect_rounds_per_iteration(bool fused, ExchangeAlgorithm algo) {
+void expect_rounds_per_iteration(bool fused) {
   vmpi::run(4, [&](vmpi::Comm& comm) {
     ThreeRuleTc f(comm, 10);
     EngineConfig cfg;
     cfg.balance.enabled = false;  // reshuffles would add extra alltoallv calls
     cfg.fuse_exchanges = fused;
     cfg.router_preagg = fused;
-    cfg.exchange = algo;
     Engine engine(comm, cfg);
 
     const auto before = comm.stats().exchange_rounds();
@@ -485,50 +484,27 @@ void expect_rounds_per_iteration(bool fused, ExchangeAlgorithm algo) {
 }
 
 TEST(ExchangeFusion, FusedStratumPaysRPlusOneRoundsDense) {
-  expect_rounds_per_iteration(/*fused=*/true, ExchangeAlgorithm::kDense);
+  expect_rounds_per_iteration(/*fused=*/true);
 }
 
 TEST(ExchangeFusion, LegacyStratumPaysTwoRRoundsDense) {
-  expect_rounds_per_iteration(/*fused=*/false, ExchangeAlgorithm::kDense);
-}
-
-TEST(ExchangeFusion, RoundCountsHoldUnderBruck) {
-  expect_rounds_per_iteration(/*fused=*/true, ExchangeAlgorithm::kBruck);
-  expect_rounds_per_iteration(/*fused=*/false, ExchangeAlgorithm::kBruck);
+  expect_rounds_per_iteration(/*fused=*/false);
 }
 
 // ---------------------------------------------------------------------------
-// Result identity across fuse × algorithm on the prebuilt queries
+// Result identity across the fused and per-rule schedules on the prebuilt
+// queries
 // ---------------------------------------------------------------------------
 
 using queries::QueryTuning;
 
-QueryTuning tuned(bool fuse, ExchangeAlgorithm algo) {
-  QueryTuning t;
-  t.engine.fuse_exchanges = fuse;
-  t.engine.router_preagg = fuse;
-  t.engine.exchange = algo;
-  return t;
-}
-
-/// Run `run_one(tuning)` (which returns rank-0 gathered rows) under all
-/// four fuse × algorithm combinations and require byte-identical output.
+/// Run `run_one(tuning)` (which returns rank-0 gathered rows) under the
+/// fused and the per-rule schedule and require byte-identical output.
 template <typename RunOne>
 void expect_identical_across_modes(RunOne run_one) {
-  std::vector<Tuple> ref;
-  bool have_ref = false;
-  for (const bool fuse : {true, false}) {
-    for (const auto algo : {ExchangeAlgorithm::kDense, ExchangeAlgorithm::kBruck}) {
-      const auto rows = run_one(tuned(fuse, algo));
-      if (!have_ref) {
-        ref = rows;
-        have_ref = true;
-        continue;
-      }
-      EXPECT_EQ(rows, ref) << "fuse=" << fuse
-                           << " algo=" << (algo == ExchangeAlgorithm::kBruck ? "bruck" : "dense");
-    }
-  }
+  QueryTuning per_rule;
+  per_rule.engine.fuse_exchanges = per_rule.engine.router_preagg = false;
+  EXPECT_EQ(run_one(per_rule), run_one(QueryTuning{}));
 }
 
 TEST(ExchangeFusion, SsspIdenticalAcrossModesAndMatchesOracle) {

@@ -20,6 +20,7 @@
 
 #include "async/async_engine.hpp"
 #include "core/checkpoint.hpp"
+#include "core/relation.hpp"
 #include "queries/cc.hpp"
 #include "queries/common.hpp"
 #include "queries/pagerank.hpp"
@@ -98,10 +99,10 @@ vmpi::RunOptions legacy_options() {
   return options;
 }
 
-/// Run `query` on `ranks` ranks under `options`, using the BSP engine with
-/// the Bruck exchange (the faultable collective path) unless `tuning_fn`
-/// overrides it.  Collects per-rank abort flags without any cross-rank
-/// communication — a faulted world cannot run collectives.
+/// Run `query` on `ranks` ranks under `options`, using the BSP engine on
+/// its default dense exchange (whose row frames ride the faultable path)
+/// unless `tuning_fn` overrides it.  Collects per-rank abort flags without
+/// any cross-rank communication — a faulted world cannot run collectives.
 template <typename TuningFn>
 LegOutcome run_leg(Query query, int ranks, const vmpi::RunOptions& options,
                    const graph::Graph& g, TuningFn&& tuning_fn) {
@@ -114,7 +115,6 @@ LegOutcome run_leg(Query query, int ranks, const vmpi::RunOptions& options,
   out.dups.assign(static_cast<std::size_t>(ranks), 0);
   vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
     queries::QueryTuning tuning;
-    tuning.engine.exchange = core::ExchangeAlgorithm::kBruck;
     tuning_fn(tuning);
     core::RunResult run;
     switch (query) {
@@ -276,11 +276,11 @@ TEST(FaultSweep, DropDupReorderAcrossQueriesAndRankCounts) {
 }
 
 TEST(FaultSweep, CorruptFramesAbortTypedWithoutRetryBudget) {
-  // Both faultable router exchanges — the default Bruck relay and the
-  // two-level exchange (member->leader up-frames, the leaders' mailbox
-  // alltoallv, leader->member down-frames) — ride the mailbox path, so
-  // every frame carries the reliable channel's CRC envelope, empty frames
-  // included.  With max_attempts = 0 a flipped byte is caught and NACKed,
+  // Both router exchanges — the default dense alltoallv and the two-level
+  // exchange (member->leader up-frames, the leaders' alltoallv,
+  // leader->member down-frames) — ride the faultable mailbox path, so
+  // every row frame carries the reliable channel's CRC envelope, empty
+  // frames included.  With max_attempts = 0 a flipped byte is caught and NACKed,
   // and the NACK escalates at once: the abort is unanimous and typed,
   // never a retransmit and never a wrong fixpoint.
   const auto g = sweep_graph();
@@ -290,7 +290,7 @@ TEST(FaultSweep, CorruptFramesAbortTypedWithoutRetryBudget) {
     core::ExchangeAlgorithm exchange;
   };
   const Leg legs[] = {
-      {"bruck", vmpi::Topology{}, core::ExchangeAlgorithm::kBruck},
+      {"dense", vmpi::Topology{}, core::ExchangeAlgorithm::kDense},
       {"hierarchical", vmpi::Topology::grouped(4, 2), core::ExchangeAlgorithm::kHierarchical},
   };
   for (const auto& cfg : legs) {
@@ -317,50 +317,102 @@ TEST(FaultSweep, CorruptFramesAbortTypedWithoutRetryBudget) {
   }
 }
 
-TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
-  // The Bruck dissemination relays other ranks' frames inside its own
-  // envelopes over the mailbox path, so injection must reach it — and
-  // the reliable channel must heal it: a dropped relay retransmits after
-  // backoff, a flipped byte fails the envelope CRC and is NACKed back for
-  // retransmission.  Either way the fixpoint is bit-identical.  With retry
-  // disabled the legacy contract holds: a dropped relay starves a round
-  // into a unanimous typed abort.
-  const auto g = sweep_graph();
-  const auto clean = run_leg(Query::kSssp, 4, vmpi::RunOptions{}, g);
-  ASSERT_FALSE(clean.any_aborted());
+/// Rank `src`'s buffer for rank `dst` in wave `wave` of the relay leg:
+/// 0-3 words, so some buffers are empty.
+vmpi::Bytes relay_payload(int src, int dst, std::uint64_t wave) {
+  vmpi::BufferWriter w;
+  for (std::uint64_t i = 0; i < (static_cast<std::uint64_t>(src + dst) + wave) % 4; ++i) {
+    w.put<std::uint64_t>(wave * 10000 + static_cast<std::uint64_t>(src * 100 + dst * 10) + i);
+  }
+  return w.take();
+}
 
-  {
+TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
+  // The Bruck dissemination relays other ranks' buffers inside its own
+  // envelopes over the faultable mailbox path, so injection must reach it
+  // — and the reliable channel must heal it: a dropped relay frame
+  // retransmits, a flipped byte fails the envelope CRC and is NACKed back
+  // for retransmission.  Either way every buffer arrives as sent.  With
+  // retry disabled a dropped relay frame starves a round into a unanimous
+  // typed abort.
+  constexpr int kRanks = 4;
+  struct Plan {
+    std::uint64_t seed;
+    double drop;
+    double corrupt;
+    std::uint32_t max_attempts;
+  };
+  for (const Plan p : {Plan{48, 0.10, 0, 5}, Plan{49, 0, 0.05, 5}, Plan{48, 0.10, 0, 0}}) {
+    SCOPED_TRACE("seed " + std::to_string(p.seed) + " retry " +
+                 std::to_string(p.max_attempts));
     vmpi::RunOptions options;
-    options.fault.seed = 48;
-    options.fault.drop_prob = 0.10;
-    options.watchdog_seconds = kWatchdog;
-    const auto leg = run_leg(Query::kSssp, 4, options, g);
-    expect_unanimous(leg);
-    EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
-    EXPECT_EQ(leg.rows, clean.rows);
-    EXPECT_GT(leg.total_retransmits(), 0u);
+    options.fault.seed = p.seed;
+    options.fault.drop_prob = p.drop;
+    options.fault.corrupt_prob = p.corrupt;
+    options.retry.max_attempts = p.max_attempts;
+    options.watchdog_seconds = p.max_attempts > 0 ? kWatchdog : 2.0;
+    LegOutcome leg;
+    leg.aborted.assign(kRanks, 0);
+    leg.fault_what.resize(kRanks);
+    leg.retransmits.assign(kRanks, 0);
+    vmpi::run(kRanks, options, [&](vmpi::Comm& comm) {
+      const int me = comm.rank();
+      try {
+        for (std::uint64_t wave = 0; wave < 16; ++wave) {
+          std::vector<vmpi::Bytes> send;
+          for (int d = 0; d < kRanks; ++d) send.push_back(relay_payload(me, d, wave));
+          const auto got = comm.alltoallv_bruck(std::move(send));
+          for (int s = 0; s < kRanks; ++s) {
+            EXPECT_EQ(got[static_cast<std::size_t>(s)], relay_payload(s, me, wave))
+                << "wave " << wave << " from " << s;
+          }
+        }
+      } catch (const vmpi::FaultError& e) {
+        leg.aborted[static_cast<std::size_t>(me)] = 1;
+        leg.fault_what[static_cast<std::size_t>(me)] = e.what();
+      }
+      leg.retransmits[static_cast<std::size_t>(me)] = comm.stats().retransmits;
+    });
+    if (p.max_attempts > 0) {
+      EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
+      EXPECT_GT(leg.total_retransmits(), 0u);
+    } else {
+      EXPECT_TRUE(leg.all_aborted());
+      EXPECT_FALSE(leg.fault_what[0].empty());
+      EXPECT_EQ(leg.total_retransmits(), 0u) << "max_attempts = 0 must never retransmit";
+    }
   }
-  {
-    vmpi::RunOptions options;
-    options.fault.seed = 49;
-    options.fault.corrupt_prob = 0.05;
-    options.watchdog_seconds = kWatchdog;
-    const auto leg = run_leg(Query::kSssp, 4, options, g);
-    expect_unanimous(leg);
-    EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
-    EXPECT_EQ(leg.rows, clean.rows);
-    EXPECT_GT(leg.total_retransmits(), 0u);
-  }
-  {
-    auto options = legacy_options();
-    options.fault.seed = 48;
-    options.fault.drop_prob = 0.10;
-    options.watchdog_seconds = 2.0;
-    const auto leg = run_leg(Query::kSssp, 4, options, g);
-    expect_unanimous(leg);
-    EXPECT_TRUE(leg.all_aborted());
-    EXPECT_FALSE(leg.fault_what[0].empty());
-  }
+}
+
+TEST(FaultSweep, FactLoadsStayOffTheChannelWhileRowFramesRideIt) {
+  // The fault scope: a running engine's row frames ride the reliable
+  // channel, one-shot moves such as fact loads do not.  Every frame on
+  // edge 0->1 that reaches the faultable path vanishes and nothing heals
+  // it, so a fact load on that path would starve into a watchdog timeout
+  // thrown out of the load itself, past the engine's catch site.
+  vmpi::RunOptions options = legacy_options();
+  options.fault.seed = 52;
+  options.fault.drop_prob = 1.0;
+  options.fault.only_src = 0;
+  options.fault.only_dst = 1;
+  options.watchdog_seconds = 1.0;
+  const auto g = sweep_graph();
+  std::vector<std::uint64_t> dropped_by_load(4, 1), loaded(4, 0), aborted(4, 0);
+  vmpi::run(4, options, [&](vmpi::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    core::Relation facts(comm, {.name = "facts", .arity = 2, .jcc = 1});
+    std::vector<Tuple> slice;
+    for (value_t i = 0; i < 64; ++i) slice.push_back(Tuple{me * 1000 + i, i});
+    facts.load_facts(slice);
+    dropped_by_load[me] = comm.stats().faults_dropped;
+    loaded[me] = facts.global_size(core::Version::kFull);
+    queries::SsspOptions opts;
+    opts.sources = {0};
+    aborted[me] = run_sssp(comm, g, opts).run.aborted_fault ? 1 : 0;
+  });
+  EXPECT_EQ(dropped_by_load, std::vector<std::uint64_t>(4, 0)) << "a fact-load frame was injected";
+  EXPECT_EQ(loaded, std::vector<std::uint64_t>(4, 256));
+  EXPECT_EQ(aborted, std::vector<std::uint64_t>(4, 1)) << "the row frames escaped the plan";
 }
 
 TEST(FaultSweep, HierarchicalExchangeHealsCorruptAndDropInjection) {
@@ -434,11 +486,8 @@ TEST(FaultSweep, ScheduleReplaysExactlyFromSeed) {
     vmpi::run_collect(
         4, options,
         [&](vmpi::Comm& comm) {
-          queries::QueryTuning tuning;
-          tuning.engine.exchange = core::ExchangeAlgorithm::kBruck;
           queries::SsspOptions opts;
           opts.sources = {0};
-          opts.tuning = tuning;
           opts.collect_distances = true;
           auto r = run_sssp(comm, g, opts);
           ASSERT_FALSE(r.run.aborted_fault) << r.run.fault_what;

@@ -142,32 +142,6 @@ TEST(Sssp, ResultIdenticalAcrossRankCounts) {
   }
 }
 
-TEST(Sssp, BruckExchangeMatchesDense) {
-  const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 14});
-  const auto sources = g.pick_sources(2, 3);
-  std::vector<Tuple> dense_rows, bruck_rows;
-  std::uint64_t dense_msgs = 0, bruck_msgs = 0;
-  vmpi::run(8, [&](vmpi::Comm& comm) {
-    SsspOptions opts;
-    opts.sources = sources;
-    opts.collect_distances = true;
-    const auto dense = run_sssp(comm, g, opts);
-    opts.tuning.engine.exchange = core::ExchangeAlgorithm::kBruck;
-    const auto bruck = run_sssp(comm, g, opts);
-    if (comm.rank() == 0) {
-      dense_rows = dense.distances;
-      bruck_rows = bruck.distances;
-      dense_msgs = dense.run.comm_total.messages_sent;
-      bruck_msgs = bruck.run.comm_total.messages_sent;
-    }
-  });
-  EXPECT_EQ(bruck_rows, dense_rows);
-  // The dense matrix exchange sends no p2p messages on vmpi; Bruck routes
-  // everything through log-round p2p relays.
-  EXPECT_EQ(dense_msgs, 0u);
-  EXPECT_GT(bruck_msgs, 0u);
-}
-
 TEST(Sssp, CommunicationAvoidanceNoExtraAggTraffic) {
   // The headline property: the aggregated relation adds no communication
   // beyond what a plain relation would pay.  We verify the strong form:

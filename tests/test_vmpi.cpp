@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace paralagg::vmpi {
 namespace {
@@ -462,33 +464,6 @@ TEST(Serialize, RoundTripMixedTypes) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(Bruck, MatchesDenseAlltoallv) {
-  for (const int ranks : {2, 3, 5, 8, 13}) {  // includes non-powers-of-two
-    run(ranks, [&](Comm& comm) {
-      const int n = comm.size();
-      std::vector<Bytes> send(static_cast<std::size_t>(n));
-      std::vector<Bytes> send2(static_cast<std::size_t>(n));
-      for (int d = 0; d < n; ++d) {
-        BufferWriter w;
-        // Variable-size payloads, some empty.
-        const int count = (comm.rank() + d) % 4;
-        for (int i = 0; i < count; ++i) {
-          w.put<std::uint64_t>(static_cast<std::uint64_t>(comm.rank() * 1000 + d * 10 + i));
-        }
-        send[static_cast<std::size_t>(d)] = w.take();
-        send2[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)];
-      }
-      const auto dense = comm.alltoallv(std::move(send));
-      const auto bruck = comm.alltoallv_bruck(std::move(send2));
-      ASSERT_EQ(bruck.size(), dense.size());
-      for (int s = 0; s < n; ++s) {
-        EXPECT_EQ(bruck[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
-            << "ranks=" << ranks << " from=" << s;
-      }
-    });
-  }
-}
-
 TEST(Bruck, LogarithmicMessageCount) {
   std::vector<CommStats> per_rank;
   run_collect(
@@ -523,28 +498,32 @@ TEST(Bruck, BackToBackCallsDoNotCrossMatch) {
   });
 }
 
-TEST(MailboxAlltoallv, MatchesDenseAlltoallv) {
-  for (const int ranks : {1, 2, 3, 5, 8, 13}) {
+/// Rank `src`'s buffer for rank `dst`: 0-3 words, so some are empty.
+Bytes exchange_payload(int src, int dst) {
+  BufferWriter w;
+  for (int i = 0; i < (src + dst) % 4; ++i) {
+    w.put<std::uint64_t>(static_cast<std::uint64_t>(src * 1000 + dst * 10 + i));
+  }
+  return w.take();
+}
+
+TEST(Alltoallv, EveryExchangeDeliversTheExpectedBuffers) {
+  // Both alltoallv entry points and the Bruck relay, at every rank count
+  // from 1 to 13 (powers of two and not).
+  for (int ranks = 1; ranks <= 13; ++ranks) {
     run(ranks, [&](Comm& comm) {
       const int n = comm.size();
-      std::vector<Bytes> send(static_cast<std::size_t>(n));
-      std::vector<Bytes> send2(static_cast<std::size_t>(n));
-      for (int d = 0; d < n; ++d) {
-        BufferWriter w;
-        // Variable-size payloads, some empty.
-        const int count = (comm.rank() + d) % 4;
-        for (int i = 0; i < count; ++i) {
-          w.put<std::uint64_t>(static_cast<std::uint64_t>(comm.rank() * 1000 + d * 10 + i));
+      for (int way = 0; way < 3; ++way) {
+        std::vector<Bytes> send;
+        for (int d = 0; d < n; ++d) send.push_back(exchange_payload(comm.rank(), d));
+        const auto got = way == 0   ? comm.alltoallv(std::move(send))
+                         : way == 1 ? comm.alltoallv_mailbox(std::move(send))
+                                    : comm.alltoallv_bruck(std::move(send));
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
+        for (int s = 0; s < n; ++s) {
+          EXPECT_EQ(got[static_cast<std::size_t>(s)], exchange_payload(s, comm.rank()))
+              << "ranks=" << ranks << " way=" << way << " from=" << s;
         }
-        send[static_cast<std::size_t>(d)] = w.take();
-        send2[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)];
-      }
-      const auto dense = comm.alltoallv(std::move(send));
-      const auto mailbox = comm.alltoallv_mailbox(std::move(send2));
-      ASSERT_EQ(mailbox.size(), dense.size());
-      for (int s = 0; s < n; ++s) {
-        EXPECT_EQ(mailbox[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
-            << "ranks=" << ranks << " from=" << s;
       }
     });
   }
@@ -598,8 +577,8 @@ TEST(MailboxAlltoallv, StatsAttributeToAlltoallvNotP2P) {
       },
       per_rank);
   for (const auto& st : per_rank) {
-    // Same attribution as the slot-matrix collective: 16 bytes to each of
-    // 3 remote ranks, 16 to self, one call, one step — and none of it
+    // Same attribution as the plain alltoallv: 16 bytes to each of 3
+    // remote ranks, 16 to self, one call, one step — and none of it
     // double-counted as p2p.
     EXPECT_EQ(st.remote_bytes(Op::kAlltoallv), 3u * 16u);
     EXPECT_EQ(st.bytes_local[static_cast<std::size_t>(Op::kAlltoallv)], 16u);
@@ -622,12 +601,106 @@ TEST(MailboxAlltoallv, AllEmptySendsCompleteWithoutTraffic) {
   }
 }
 
+/// Rank `src`'s word for rank `dst` in `wave`, as a one-word buffer.
+Bytes wave_word(std::uint64_t wave, int src, int dst) {
+  BufferWriter w;
+  w.put<std::uint64_t>(wave * 1000000 + static_cast<std::uint64_t>(src * 1000 + dst));
+  return w.take();
+}
+
 TEST(ManyRanks, CollectivesScaleTo64Threads) {
   run(64, [&](Comm& comm) {
-    const auto sum = comm.allreduce<std::uint64_t>(1, ReduceOp::kSum);
-    EXPECT_EQ(sum, 64u);
+    const int me = comm.rank();
+    EXPECT_EQ(comm.allreduce<std::uint64_t>(1, ReduceOp::kSum), 64u);
+    std::vector<Bytes> send;
+    for (int d = 0; d < 64; ++d) send.push_back(wave_word(0, me, d));
+    const auto got = comm.alltoallv(std::move(send));
+    for (int s = 0; s < 64; ++s) EXPECT_EQ(got[static_cast<std::size_t>(s)], wave_word(0, s, me));
+    EXPECT_EQ(comm.bcast(63, me == 63 ? wave_word(1, 63, 0) : Bytes{}), wave_word(1, 63, 0));
+    const auto all = comm.gatherv(5, wave_word(2, me, 5));
+    ASSERT_EQ(all.size(), me == 5 ? 64u : 0u);
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      EXPECT_EQ(all[s], wave_word(2, static_cast<int>(s), 5));
+    }
     comm.barrier();
   });
+}
+
+/// One wave of every mailbox collective, back to back with no fence: a
+/// bcast from a rotating root, a gatherv to the next root, both alltoallv
+/// entry points and an allreduce.  Each call must return this wave's
+/// words only and record one call of its own Op with the remote bytes,
+/// local bytes and steps given, and no other traffic.
+void interleaved_wave(Comm& comm, std::uint64_t wave) {
+  const int n = comm.size();
+  const int me = comm.rank();
+  const auto peers = 8 * static_cast<std::uint64_t>(n - 1);
+  const auto counted = [&](Op op, std::uint64_t remote, std::uint64_t local,
+                           std::uint64_t steps, const std::function<void()>& call) {
+    const CommStats before = comm.stats();
+    call();
+    const CommStats& st = comm.stats();
+    const auto i = static_cast<std::size_t>(op);
+    EXPECT_EQ(st.calls[i] - before.calls[i], 1u) << op_name(op) << " wave " << wave;
+    EXPECT_EQ(st.total_remote_bytes() - before.total_remote_bytes(), remote) << op_name(op);
+    EXPECT_EQ(st.bytes_sent[i] - before.bytes_sent[i], remote) << op_name(op);
+    EXPECT_EQ(st.bytes_local[i] - before.bytes_local[i], local) << op_name(op);
+    EXPECT_EQ(st.total_steps() - before.total_steps(), steps) << op_name(op);
+    EXPECT_EQ(st.messages_sent + st.messages_received,
+              before.messages_sent + before.messages_received) << op_name(op);
+  };
+  const int root = static_cast<int>(wave % static_cast<std::uint64_t>(n));
+  counted(Op::kBcast, me == root ? peers : 0, 0, 0, [&] {
+    const auto mine = me == root ? wave_word(wave, root, root) : Bytes{};
+    EXPECT_EQ(comm.bcast(root, mine), wave_word(wave, root, root));
+  });
+  const int groot = (root + 1) % n;
+  counted(Op::kGather, me == groot ? 0 : 8, me == groot ? 8 : 0, 0, [&] {
+    const auto all = comm.gatherv(groot, wave_word(wave, me, groot));
+    ASSERT_EQ(all.size(), me == groot ? static_cast<std::size_t>(n) : 0u);
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      EXPECT_EQ(all[s], wave_word(wave, static_cast<int>(s), groot));
+    }
+  });
+  for (const bool faultable : {false, true}) {
+    counted(Op::kAlltoallv, peers, 8, 1, [&] {
+      std::vector<Bytes> send;
+      for (int d = 0; d < n; ++d) send.push_back(wave_word(wave, me, d));
+      const auto got = faultable ? comm.alltoallv_mailbox(std::move(send))
+                                 : comm.alltoallv(std::move(send));
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
+      for (int s = 0; s < n; ++s) {
+        EXPECT_EQ(got[static_cast<std::size_t>(s)], wave_word(wave, s, me));
+      }
+    });
+  }
+  std::uint64_t rounds = 0;
+  while ((1 << rounds) < n) ++rounds;
+  counted(Op::kAllreduce, peers, 8, rounds, [&] {
+    EXPECT_EQ(comm.allreduce<std::uint64_t>(wave + static_cast<std::uint64_t>(me),
+                                            ReduceOp::kMax),
+              wave + static_cast<std::uint64_t>(n - 1));
+  });
+}
+
+TEST(Collectives, InterleavedWavesReturnOnlyTheirOwnWave) {
+  for (const int ranks : {1, 3, 7}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    run(ranks, [&](Comm& comm) {
+      for (std::uint64_t wave = 0; wave < 12; ++wave) interleaved_wave(comm, wave);
+      // Strand traffic and desynchronise the tag streams the way a typed
+      // abort does: rank 0 alone starts a bcast, then poisons the world.
+      // The reset rendezvous purges the mailboxes and re-zeroes every
+      // rank's tags, so the next waves pair up again.
+      comm.barrier();
+      if (comm.rank() == 0) {
+        (void)comm.bcast(0, wave_word(99, 0, 0));
+        comm.world().fault_abort();
+      }
+      ASSERT_TRUE(comm.fault_reset(10.0));
+      for (std::uint64_t wave = 12; wave < 24; ++wave) interleaved_wave(comm, wave);
+    });
+  }
 }
 
 }  // namespace
