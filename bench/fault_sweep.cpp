@@ -20,6 +20,13 @@
 //   retrans   — data frames the reliable channel re-sent, summed over ranks,
 //               then split by trigger: gap (a gap NACK's SACK evidence),
 //               corrupt (a corrupt NACK) and timer (a lost tail frame)
+//   dominated — rows the dominance filter kept off the wire, summed over
+//               ranks (RunResult::router): the router's on BSP legs, the
+//               STAGE path's on async legs; 0 for SSP's SUM and for aborts
+//
+// A fault that escapes a rank instead of ending its run typed (a peer
+// reached the poisoned world) prints as "abort: escaped ..." and still
+// fails the verdict's healed legs; it never kills the sweep.
 //
 // Also measures the checkpoint tax: the same clean run with a manifest
 // written every iteration, so the overhead column prices `--checkpoint-every`.
@@ -32,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,6 +60,7 @@ struct Leg {
   std::uint64_t retransmits_gap = 0;
   std::uint64_t retransmits_corrupt = 0;
   std::uint64_t retransmits_timer = 0;
+  std::uint64_t dominated = 0;
 };
 
 /// Sum the fault and heal counters over ranks into `leg`.
@@ -71,6 +80,30 @@ struct SweepPoint {
   const char* name;
   vmpi::FaultPlan plan;
 };
+
+/// Run one leg's ranks.  Returns the text of a fault that escaped a rank,
+/// empty when none did; `per_rank` stays empty then.
+std::string launch(int ranks, const vmpi::RunOptions& options,
+                   const std::function<void(vmpi::Comm&)>& body,
+                   std::vector<vmpi::CommStats>& per_rank) {
+  try {
+    vmpi::run_collect(ranks, options, body, per_rank);
+  } catch (const vmpi::FaultError& e) {
+    return e.what();
+  } catch (const vmpi::WorldAborted& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// "exact", "abort: <what>" or the forbidden "WRONG FIXPOINT".
+std::string outcome(bool aborted, const std::string& what,
+                    const std::vector<core::Tuple>& rows,
+                    const std::vector<core::Tuple>& reference) {
+  if (aborted) return "abort: " + what.substr(0, 48);
+  if (!reference.empty() && rows != reference) return "WRONG FIXPOINT";
+  return "exact";
+}
 
 vmpi::RetryPolicy legacy_policy() {
   vmpi::RetryPolicy p;
@@ -98,7 +131,7 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
   double wall = 0;
   std::vector<vmpi::CommStats> per_rank;
   const std::string ckpt_path = "/tmp/paralagg_fault_sweep_manifest.bin";
-  vmpi::run_collect(
+  const std::string escaped = launch(
       ranks, options,
       [&](vmpi::Comm& comm) {
         queries::SsspOptions opts;
@@ -115,20 +148,19 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
           aborted = r.run.aborted_fault;
           what = r.run.fault_what;
           wall = r.run.wall_seconds;
+          leg.dominated = r.run.router.rows_dominated;
         }
       },
       per_rank);
   if (checkpoint_every > 0) std::remove(ckpt_path.c_str());
+  if (!escaped.empty()) {
+    aborted = true;
+    what = "escaped " + escaped;
+  }
 
   leg.wall_s = wall;
   tally(leg, per_rank);
-  if (aborted) {
-    leg.outcome = "abort: " + what.substr(0, 48);
-  } else if (!reference.empty() && rows != reference) {
-    leg.outcome = "WRONG FIXPOINT";  // the one outcome the design forbids
-  } else {
-    leg.outcome = "exact";
-  }
+  leg.outcome = outcome(aborted, what, rows, reference);
   return leg;
 }
 
@@ -155,7 +187,7 @@ Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
   bool aborted = false;
   std::string what;
   std::vector<vmpi::CommStats> per_rank;
-  vmpi::run_collect(
+  const std::string escaped = launch(
       ranks, options,
       [&](vmpi::Comm& comm) {
         queries::PagerankOptions opts;
@@ -170,22 +202,22 @@ Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
           aborted = r.run.aborted_fault;
           what = r.run.fault_what;
           leg.wall_s = r.run.wall_seconds;
+          leg.dominated = r.run.router.rows_dominated;
         }
       },
       per_rank);
-  tally(leg, per_rank);
-  if (aborted) {
-    leg.outcome = "abort: " + what.substr(0, 48);
-  } else if (!reference.empty() && rows != reference) {
-    leg.outcome = "WRONG FIXPOINT";
-  } else {
-    leg.outcome = "exact";
+  if (!escaped.empty()) {
+    aborted = true;
+    what = "escaped " + escaped;
   }
+  tally(leg, per_rank);
+  leg.outcome = outcome(aborted, what, rows, reference);
   return leg;
 }
 
 void emit(const Leg& l) {
-  std::printf("%-10s  %-12s  %-6s  %8.3fs  %7llu  %7llu  %4llu %4llu %4llu  %7llu  %s\n",
+  std::printf("%-10s  %-12s  %-6s  %8.3fs  %7llu  %7llu  %4llu %4llu %4llu  %7llu  %9llu"
+              "  %s\n",
               l.engine.c_str(), l.fault.c_str(), l.mode.c_str(), l.wall_s,
               static_cast<unsigned long long>(l.injected),
               static_cast<unsigned long long>(l.retransmits),
@@ -193,7 +225,7 @@ void emit(const Leg& l) {
               static_cast<unsigned long long>(l.retransmits_corrupt),
               static_cast<unsigned long long>(l.retransmits_timer),
               static_cast<unsigned long long>(l.dups_discarded),
-              l.outcome.c_str());
+              static_cast<unsigned long long>(l.dominated), l.outcome.c_str());
 }
 
 bool starts_with(const std::string& s, const char* prefix) {
@@ -247,10 +279,10 @@ int main(int argc, char** argv) {
   const vmpi::RetryPolicy healed{};
   const vmpi::RetryPolicy legacy = legacy_policy();
 
-  std::printf("%-10s  %-12s  %-6s  %9s  %7s  %7s  %4s %4s %4s  %7s  %s\n", "engine",
+  std::printf("%-10s  %-12s  %-6s  %9s  %7s  %7s  %4s %4s %4s  %7s  %9s  %s\n", "engine",
               "fault", "mode", "wall", "injected", "retrans", "gap", "corr", "tmr",
-              "deduped", "outcome");
-  rule(95);
+              "deduped", "dominated", "outcome");
+  rule(106);
 
   bool violated = false;
   std::vector<Leg> legs;
@@ -334,7 +366,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  rule(95);
+  rule(106);
   std::printf("\nhealed legs ride the reliable channel: drop and corrupt retransmit to a\n");
   std::printf("bit-identical fixpoint (retrans column, split gap / corrupt / timer: a\n");
   std::printf("dropped frame heals on its receiver's gap NACK, a dropped tail frame on\n");
@@ -345,6 +377,9 @@ int main(int argc, char** argv) {
               watchdog);
   std::printf("watchdog, corrupt aborts typed on its first NACK; a killed rank aborts typed\n");
   std::printf("in either mode.\n");
+  std::printf("dominated counts rows the dominance filter kept off the wire (BSP: router\n");
+  std::printf("buckets; async: STAGE buffers), so each completed async leg shows the\n");
+  std::printf("filter ran under its fault point.\n");
 
   if (verdict) {
     int failures = 0;

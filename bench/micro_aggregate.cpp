@@ -1,15 +1,18 @@
 // Microbenchmarks: the fused deduplication/aggregation pass (paper §IV-A)
 // — staging throughput and materialization, aggregated vs plain, the
 // within-iteration collapse that makes local aggregation pay, the two
-// ways materialize() places a run into the full tree, and the row-frame
-// codec every folded run crosses ranks in.
+// ways materialize() places a run into the full tree, the row-frame
+// codec every folded run crosses ranks in, and the dominance filter's
+// probe in front of it.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "core/relation.hpp"
+#include "core/shipped_run.hpp"
 #include "vmpi/row_frame.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -223,5 +226,61 @@ BENCHMARK_CAPTURE(BM_RowCodec, cc_encode, RunShape::kCc, false);
 BENCHMARK_CAPTURE(BM_RowCodec, cc_decode, RunShape::kCc, true);
 BENCHMARK_CAPTURE(BM_RowCodec, pagerank_encode, RunShape::kPagerank, false);
 BENCHMARK_CAPTURE(BM_RowCodec, pagerank_decode, RunShape::kPagerank, true);
+
+void BM_ShippedRun(benchmark::State& state, bool batch) {
+  // One history of `keys` SSSP-shaped keys (spath (to, from, dist), MIN)
+  // checked against one row per key: 7 in 8 no better than the history
+  // (dropped, about sssp-lossy-async's share), 1 in 8 better (folded in).
+  // The per-row check (the async STAGE path) takes them in a scattered
+  // emission order; the batch walk (the router at pack()) takes them as a
+  // folded run.  The history and the run are rebuilt outside the timed
+  // region.  2k, 19k and 37k keys are the per-rank histories of
+  // cc-mesh-async, sssp-lossy-async and sssp-twitter.  row_s is seconds per
+  // checked row.
+  const auto keys = static_cast<std::size_t>(state.range(0));
+  const auto min = core::make_min_aggregator();
+  const auto key_of = [](std::size_t i) {
+    return std::array<value_t, 2>{i / 3 * 7 + 1, 1000 + 37 * (i % 3)};
+  };
+  core::ShippedRun history(3, 2, min.get());
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < keys; ++i) {
+    const auto k = key_of(i);
+    (void)history.dominated(std::array<value_t, 3>{k[0], k[1], 200}, hits);
+  }
+  std::vector<value_t> rows;
+  for (std::size_t j = 0; j < keys; ++j) {
+    const std::size_t i = j * 1000003 % keys;  // every key once, scattered
+    const auto k = key_of(i);
+    rows.insert(rows.end(), {k[0], k[1], j % 8 == 0 ? value_t{100} : value_t{300}});
+  }
+  std::size_t dropped = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ShippedRun h = history;
+    core::FoldRun run(3, 2, min.get());
+    if (batch) {
+      run.append(rows);
+      run.fold();
+    }
+    state.ResumeTiming();
+    if (batch) {
+      dropped = h.filter(run, hits);
+    } else {
+      dropped = 0;
+      for (std::size_t off = 0; off < rows.size(); off += 3) {
+        dropped += h.dominated(std::span<const value_t>(rows.data() + off, 3), hits) ? 1 : 0;
+      }
+    }
+    benchmark::DoNotOptimize(dropped);
+  }
+  const auto checked = static_cast<double>(state.iterations() * keys);
+  state.SetItemsProcessed(static_cast<std::int64_t>(checked));
+  state.counters["row_s"] =
+      benchmark::Counter(checked, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["dropped_frac"] = static_cast<double>(dropped) / static_cast<double>(keys);
+}
+BENCHMARK_CAPTURE(BM_ShippedRun, per_row, false)->Arg(2000)->Arg(19000)->Arg(37000);
+BENCHMARK_CAPTURE(BM_ShippedRun, batch_walk, true)->Arg(2000)->Arg(19000)->Arg(37000);
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/phase_scope.hpp"
 #include "core/ra_op.hpp"
 #include "core/relation.hpp"
+#include "core/shipped_run.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/row_frame.hpp"
 
@@ -41,6 +42,13 @@ constexpr int kTagProbe = 0x51A50001;  // delta rows -> static side's bucket ran
 // exactly-once check.
 constexpr int kTagSspProbe = 0x51A50002;    // epoch-tagged scan rows
 constexpr int kTagSspPartial = 0x51A50003;  // epoch-tagged pre-folded partials
+
+// A fixpoint loop target releases its STAGE dominance filter on a rank at
+// the first key hit that leaves fewer than 1 in kStageReleaseShare of at
+// least core::DominanceFilter::kReleaseMinHits hits dominated.  Higher than
+// the router's 1 in 8: the loop probes once per emitted row, not once per
+// folded row and flush (DESIGN.md §6.3).
+constexpr std::uint64_t kStageReleaseShare = 2;
 
 void push_unique(std::vector<Relation*>& v, Relation* r) {
   if (r != nullptr && std::find(v.begin(), v.end(), r) == v.end()) v.push_back(r);
@@ -84,9 +92,11 @@ class StratumLoop {
         kernel_(kernel),
         detector_(comm, detector_tag_base),
         targets_(targets_of(stratum.loop_rules)),
-        nranks_(static_cast<std::size_t>(comm.size())) {
+        nranks_(static_cast<std::size_t>(comm.size())),
+        dominance_(nranks_, kStageReleaseShare) {
     fresh_.assign(targets_.size(), false);
     stage_out_.resize(targets_.size() * nranks_);
+    for (const Relation* t : targets_) dominance_.add_target(*t, /*filter=*/true);
     for (const auto& rule : stratum.loop_rules) {
       if (const auto* j = std::get_if<core::JoinRule>(&rule)) {
         joins_.push_back(JoinTask{j, target_index(j->a), target_index(j->out.target)});
@@ -152,6 +162,7 @@ class StratumLoop {
       }
       blocking_wait();
     }
+    ls_.filters_released += dominance_.released();
   }
 
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
@@ -277,6 +288,13 @@ class StratumLoop {
       // folded by the next materialize on this rank — zero communication.
       t->stage(row);
       ++ls_.rows_loopback;
+      return;
+    }
+    // Drop a row when this rank already queued its owner a value that
+    // absorbs it (DESIGN.md §6.3).  A dropped row never counts toward the
+    // batch, so frames stay full.
+    if (dominance_.dominated(out_idx, static_cast<std::size_t>(dst), row)) {
+      ++ls_.stage_rows_dominated;
       return;
     }
     auto& buf = stage_out_[out_idx * nranks_ + static_cast<std::size_t>(dst)];
@@ -475,6 +493,10 @@ class StratumLoop {
   // Flat row buffers, route-major: [idx * nranks + dest], like the router.
   std::vector<std::vector<value_t>> stage_out_;
   std::vector<std::vector<value_t>> probe_out_;
+  // What this rank queued each owner per loop target, same layout as
+  // stage_out_; live only for aggregated kLattice targets (plain ones,
+  // such as TC's, ship every row).
+  core::DominanceFilter dominance_;
 
   std::uint64_t rounds_ = 0;
   std::uint64_t staged_total_ = 0;
@@ -1196,27 +1218,29 @@ core::RunResult AsyncEngine::run(core::Program& program) {
       result.total_iterations += sr.iterations;
       result.strata.push_back(sr);
     }
+    result.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+    // The cross-rank summary is collective too: a peer that faults while
+    // this rank waits here must end this rank's run typed as well.
+    result.profile = core::summarize_profiles(*comm_, profile_);
+    vmpi::StatsPause pause(*comm_);
+    const auto all = comm_->allgather_stats(comm_->stats());
+    for (const auto& s : all) result.comm_total += s;
+    core::reduce_kernel_totals(*comm_, local_kernel_, result);
+    core::RouterTotals router = local_router_;
+    router.rows_sent += loop_stats_.stage_rows_sent;
+    router.rows_dominated += loop_stats_.stage_rows_dominated;
+    core::reduce_router_totals(*comm_, router, result);
   } catch (const vmpi::FaultError& e) {
     // Same contract as core::Engine: poison the world (idempotent) so
-    // peers unwind, surface a typed abort, and skip the cross-rank
+    // peers unwind, and surface a typed abort instead of the rest of the
     // summary — its collectives cannot run on a poisoned world.
     comm_->world().fault_abort();
     result.aborted_fault = true;
     result.fault_what = e.what();
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return result;
-  }
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  result.profile = core::summarize_profiles(*comm_, profile_);
-  {
-    vmpi::StatsPause pause(*comm_);
-    const auto all = comm_->allgather_stats(comm_->stats());
-    for (const auto& s : all) result.comm_total += s;
-    core::reduce_kernel_totals(*comm_, local_kernel_, result);
-    core::reduce_router_totals(*comm_, local_router_, result);
   }
   return result;
 }

@@ -28,6 +28,8 @@
 //   * STAGE (per target relation): a generated row, sent to the rank owning
 //     its independent columns, where the fused dedup/lattice-aggregation
 //     decides whether it is a strict ascent (→ new delta row) or noise.
+//     A row this rank already queued its owner an absorbing value for is
+//     dropped before its buffer (core::DominanceFilter, DESIGN.md §6.3).
 //
 // Safety: this schedule delivers deltas stale and out of order, so it is
 // only sound when every recursive aggregate is a *genuine* semilattice
@@ -114,6 +116,12 @@ struct AsyncLoopStats {
   std::uint64_t messages_sent = 0;     // app messages (stage + probe)
   std::uint64_t messages_received = 0;
   std::uint64_t stage_rows_sent = 0;   // generated rows shipped to owners
+  /// Remote rows dropped before their STAGE buffer: this rank had already
+  /// queued the owner a value that absorbs them (core::DominanceFilter).
+  std::uint64_t stage_rows_dominated = 0;
+  /// Targets whose dominance filter this rank released for the rest of a
+  /// stratum because it dropped too little.
+  std::uint64_t filters_released = 0;
   std::uint64_t probe_rows_sent = 0;   // delta rows replicated for joining
   std::uint64_t rows_loopback = 0;     // self-owned rows staged directly
   /// Collective calls observed during the loop (excludes init rules and the
@@ -167,7 +175,7 @@ class AsyncEngine {
   core::RankProfile profile_;
   AsyncLoopStats loop_stats_;
   core::JoinKernelTotals local_kernel_;  // this rank's share; reduced in run()
-  core::RouterTotals local_router_;      // init flushes only; reduced in run()
+  core::RouterTotals local_router_;      // init flushes; run() adds the loops' STAGE rows
   std::uint64_t stratum_seq_ = 0;  // offsets detector tags per stratum
 };
 

@@ -290,31 +290,15 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
         if (!rel->hot_keys().empty()) rel->adopt_hot_keys({});
       }
     }
-  } catch (const vmpi::FaultError& e) {
-    // One catch site for every injected-failure surface: watchdog
-    // timeout, injected rank death, corrupt frame.  Poison the world
-    // (idempotent — timeouts already did) so peers blocked on this rank
-    // unwind instead of hanging; with the world poisoned no further
-    // collectives are possible — including the summary below — so the
-    // caller gets a clean typed abort instead of a half-synchronized
-    // summary.
-    comm_->world().fault_abort();
     program_ = nullptr;
-    result.aborted_fault = true;
-    result.fault_what = e.what();
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return result;
-  }
-  program_ = nullptr;
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  // Cross-rank assembly: profile summary plus a race-free total of the
-  // per-rank communication counters (each rank contributes its own).
-  result.profile = summarize_profiles(*comm_, profile_);
-  {
+    // Cross-rank assembly: profile summary plus a race-free total of the
+    // per-rank communication counters (each rank contributes its own).
+    // Collective, so it stays inside the catch: a peer that faults while
+    // this rank waits here ends this run typed too.
+    result.profile = summarize_profiles(*comm_, profile_);
     vmpi::StatsPause pause(*comm_);
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
@@ -330,6 +314,20 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
         comm_->allreduce<std::uint64_t>(local_skew_.respread_rows, vmpi::ReduceOp::kSum);
     result.skew.broadcast_rows =
         comm_->allreduce<std::uint64_t>(local_skew_.broadcast_rows, vmpi::ReduceOp::kSum);
+  } catch (const vmpi::FaultError& e) {
+    // One catch site for every injected-failure surface: watchdog
+    // timeout, injected rank death, corrupt frame.  Poison the world
+    // (idempotent — timeouts already did) so peers blocked on this rank
+    // unwind instead of hanging; with the world poisoned no further
+    // collectives are possible — including the rest of the summary — so
+    // the caller gets a clean typed abort instead of a half-synchronized
+    // summary.
+    comm_->world().fault_abort();
+    program_ = nullptr;
+    result.aborted_fault = true;
+    result.fault_what = e.what();
+    result.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   return result;
 }

@@ -128,7 +128,8 @@ struct RunResult {
   SkewStats skew;
   /// Router rows summed over ranks and flushes (identical on every rank):
   /// sent, collapsed by sender-side pre-aggregation, and dropped by the
-  /// cross-flush dominance filter.
+  /// cross-flush dominance filter.  The async engine adds its loops' STAGE
+  /// rows sent and dropped by the same filter.
   RouterTotals router;
   double wall_seconds = 0;     // this rank's view
 };

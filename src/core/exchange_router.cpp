@@ -1,8 +1,5 @@
 #include "core/exchange_router.hpp"
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -11,75 +8,10 @@
 
 namespace paralagg::core {
 
-std::size_t ExchangeRouter::ShippedRun::filter(FoldRun& run, std::uint64_t& hits) {
-  const std::size_t n = run.row_count();
-  // Size the index for the worst case, every row new, so no probe below
-  // meets a rehash.
-  if (2 * (count_ + n) > slots_.size()) {
-    std::size_t want = std::max<std::size_t>(64, slots_.size());
-    while (2 * (count_ + n) > want) want *= 2;
-    rehash(want);
-  }
-  const std::size_t mask = slots_.size() - 1;
-  const value_t* const in = run.values().data();
-  // Probes are random, so keep a few in flight: the home slot of row
-  // r + kAhead and the stored row of r + kAhead / 2 are prefetched while
-  // row r is checked.  drop_if only moves rows below the one it is
-  // checking, so the rows ahead are still where `in` has them.
-  std::array<std::size_t, kAhead> home{};
-  const auto start = [&](std::size_t r) {
-    home[r % kAhead] = slot_of(in + r * arity_);
-    __builtin_prefetch(&slots_[home[r % kAhead]]);
-  };
-  for (std::size_t r = 0; r < std::min(n, kAhead); ++r) start(r);
-  std::size_t r = 0;
-  return run.drop_if([&](std::span<const value_t> row) {
-    std::size_t i = home[r % kAhead];
-    if (r + kAhead < n) start(r + kAhead);
-    if (r + kAhead / 2 < n) {
-      if (const std::uint32_t s = slots_[home[(r + kAhead / 2) % kAhead]]; s != 0) {
-        __builtin_prefetch(rows_.data() + (s - 1) * arity_);
-      }
-    }
-    ++r;
-    const auto key = row.first(key_arity_);
-    for (;; i = (i + 1) & mask) {
-      if (slots_[i] == 0) {
-        rows_.insert(rows_.end(), row.begin(), row.end());
-        slots_[i] = static_cast<std::uint32_t>(++count_);
-        return false;
-      }
-      value_t* const stored = rows_.data() + (slots_[i] - 1) * arity_;
-      if (!std::equal(key.begin(), key.end(), stored)) continue;
-      ++hits;
-      const std::span<value_t> acc(stored + key_arity_, arity_ - key_arity_);
-      agg_->partial_agg(acc, row.subspan(key_arity_), joined_);
-      if (std::equal(joined_.begin(), joined_.end(), acc.begin())) return true;
-      std::copy(joined_.begin(), joined_.end(), acc.begin());
-      return false;
-    }
-  });
-}
-
-void ExchangeRouter::ShippedRun::rehash(std::size_t slots) {
-  std::vector<std::uint32_t>(slots).swap(slots_);
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-  const std::size_t mask = slots - 1;
-  for (std::size_t r = 0; r < count_; ++r) {
-    std::size_t i = slot_of(rows_.data() + r * arity_);
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<std::uint32_t>(r + 1);
-  }
-}
-
-void ExchangeRouter::ShippedRun::release() {
-  count_ = 0;
-  std::vector<value_t>().swap(rows_);
-  std::vector<std::uint32_t>().swap(slots_);
-}
-
 ExchangeRouter::ExchangeRouter(vmpi::Comm& comm, bool preaggregate)
-    : comm_(&comm), preaggregate_(preaggregate) {}
+    : comm_(&comm),
+      preaggregate_(preaggregate),
+      dominance_(static_cast<std::size_t>(comm.size()), kReleaseShare) {}
 
 std::uint32_t ExchangeRouter::add_target(Relation* rel) {
   assert(rel != nullptr);
@@ -93,15 +25,8 @@ std::uint32_t ExchangeRouter::add_target(Relation* rel) {
       runs->emplace_back(rel->arity(), rel->indep_arity(), agg, preaggregate_);
     }
   }
-  for (int d = 0; d < comm_->size(); ++d) {
-    shipped_.emplace_back(rel->arity(), rel->indep_arity(), agg);
-  }
-  // Dropping a dominated row is exact only where the owner's stored value
-  // only ascends and a repeat adds nothing: an idempotent lattice.  SUM
-  // and kRefresh re-fold every row; plain targets stay as they are.
-  filters_.push_back({.live = preaggregate_ && rel->aggregated() &&
-                              rel->config().agg_mode == AggMode::kLattice &&
-                              agg->idempotent()});
+  // Append-only buckets (baseline_config(), serving) ship every row.
+  dominance_.add_target(*rel, preaggregate_);
   return static_cast<std::uint32_t>(targets_.size() - 1);
 }
 
@@ -136,24 +61,7 @@ void ExchangeRouter::fold_bucket(std::size_t route_id, std::size_t dest,
                                  RouterFlushStats& st) {
   auto& run = bucket(route_id, dest);
   st.rows_combined += run.fold();
-  DominanceFilter& f = filters_[route_id];
-  if (!f.live) return;
-  ShippedRun& shipped = shipped_[route_id * static_cast<std::size_t>(comm_->size()) + dest];
-  const std::size_t dropped = shipped.filter(run, f.hits);
-  f.dominated += dropped;
-  st.rows_dominated += dropped;
-}
-
-void ExchangeRouter::release_low_yield() {
-  const auto n = static_cast<std::size_t>(comm_->size());
-  for (std::size_t id = 0; id < filters_.size(); ++id) {
-    DominanceFilter& f = filters_[id];
-    if (!f.live || f.hits < kReleaseMinHits || f.dominated * kReleaseShare >= f.hits) continue;
-    // Shipping what the filter would have dropped is what an unfiltered
-    // router does, so releasing is exact whenever it happens.
-    f.live = false;
-    for (std::size_t d = 0; d < n; ++d) shipped_[id * n + d].release();
-  }
+  st.rows_dominated += dominance_.filter(route_id, dest, run);
 }
 
 std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
@@ -175,7 +83,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
     }
     send[d] = w.take();
   }
-  release_low_yield();
+  dominance_.release_low_yield();
   pending_rows_ = 0;
   return send;
 }
@@ -276,12 +184,12 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st,
   // below, which folds them.
   for (std::size_t d = 0; d < nsz; ++d) {
     for (std::size_t id = 0; id < nt; ++id) {
-      if (!bucket(id, d).empty() && (me != leader || filters_[id].live)) {
+      if (!bucket(id, d).empty() && (me != leader || dominance_.live(id))) {
         fold_bucket(id, d, st);
       }
     }
   }
-  release_low_yield();
+  dominance_.release_low_yield();
 
   if (me != leader) {
     // Member: ship every bucket to the node aggregator as one frame whose

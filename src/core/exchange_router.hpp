@@ -35,7 +35,8 @@
 //     folded the shipped rows exactly once, so its stored value absorbs the
 //     row too and it could never become a delta.  A target whose filter
 //     rarely drops anything releases its shipped runs for the rest of the
-//     stratum (DESIGN.md §6.3).
+//     stratum.  The filter is core::DominanceFilter, which the async
+//     engine's STAGE path shares (core/shipped_run.hpp, DESIGN.md §6.3).
 //
 // Each destination's frame is one vmpi row frame (DESIGN.md §6.2) with a
 // [route | count | rows] section per non-empty bucket; the route is the
@@ -51,6 +52,7 @@
 #include "core/fold_run.hpp"
 #include "core/profile.hpp"
 #include "core/relation.hpp"
+#include "core/shipped_run.hpp"
 #include "vmpi/comm.hpp"
 
 namespace paralagg::core {
@@ -142,17 +144,16 @@ class ExchangeRouter {
   [[nodiscard]] std::uint64_t pending_rows() const { return pending_rows_; }
 
   /// A target releases its shipped runs on this rank, for the rest of the
-  /// router's life, once at least kReleaseMinHits rows found their key in
-  /// them and fewer than 1 in kReleaseShare of those were dominated: the
-  /// filter then costs more than it saves (DESIGN.md §6.3).
-  static constexpr std::uint64_t kReleaseMinHits = 4096;
+  /// router's life, once at least DominanceFilter::kReleaseMinHits rows
+  /// found their key in them and fewer than 1 in kReleaseShare of those
+  /// were dominated (DESIGN.md §6.3).
   static constexpr std::uint64_t kReleaseShare = 8;
 
   /// Does this rank still drop dominated rows for the target?  True from
   /// registration for idempotent kLattice targets under pre-aggregation,
   /// until a low yield releases the target's shipped runs.
   [[nodiscard]] bool filters_dominated(std::uint32_t route_id) const {
-    return filters_[route_id].live;
+    return dominance_.live(route_id);
   }
 
   /// One blocking collective exchange carrying every buffered row, decoded
@@ -185,59 +186,11 @@ class ExchangeRouter {
     return targets_[route_id]->arity();
   }
 
-  /// What one rank has shipped one destination for one target: per key, the
-  /// ⊔ of every value sent.  Flat rows plus an open-addressing index over
-  /// their keys, so checking a flush's rows costs one probe per row whatever
-  /// the history's size (a sorted run would merge its whole length to take
-  /// in new keys).
-  class ShippedRun {
-   public:
-    ShippedRun(std::size_t arity, std::size_t key_arity, const RecursiveAggregator* agg)
-        : arity_(arity), key_arity_(key_arity), agg_(agg), joined_(arity - key_arity) {}
-
-    /// Drop from the folded `run` every row whose value the history already
-    /// absorbs (shipped ⊔ row == shipped) and fold the rest into it.  Adds
-    /// the rows whose key had been shipped before to `hits`; returns the
-    /// rows dropped.
-    std::size_t filter(FoldRun& run, std::uint64_t& hits);
-    /// Drop the history and return its memory.
-    void release();
-
-   private:
-    static constexpr std::size_t kAhead = 8;  // probes kept in flight by filter()
-
-    void rehash(std::size_t slots);
-    /// Home slot of a key: multiplicative hashing, top bits.
-    [[nodiscard]] std::size_t slot_of(const value_t* key) const {
-      value_t h = 0;
-      for (std::size_t c = 0; c < key_arity_; ++c) h = (h ^ key[c]) * 0x9e3779b97f4a7c15ULL;
-      return static_cast<std::size_t>(h >> shift_);
-    }
-
-    std::size_t arity_;
-    std::size_t key_arity_;
-    const RecursiveAggregator* agg_;
-    std::size_t count_ = 0;             // rows held
-    unsigned shift_ = 64;               // 64 - log2(slots_.size())
-    std::vector<value_t> rows_;         // key columns + shipped ⊔, arity_ each
-    std::vector<std::uint32_t> slots_;  // row index + 1 per key hash; 0 = empty
-    std::vector<value_t> joined_;       // partial_agg output
-  };
-
-  struct DominanceFilter {
-    bool live = false;
-    std::uint64_t hits = 0;       // rows whose key was in a shipped run
-    std::uint64_t dominated = 0;  // of those, rows dropped
-  };
-
   /// Start a flush's stats from the emit-side counters, resetting them.
   RouterFlushStats take_emit_stats();
   /// Fold bucket (route_id, dest) and drop the rows its shipped run
   /// dominates, folding the survivors into the shipped run.
   void fold_bucket(std::size_t route_id, std::size_t dest, RouterFlushStats& st);
-  /// Release the shipped runs of every target whose filter fell below the
-  /// yield bound.
-  void release_low_yield();
   /// Fold and encode every bucket into per-destination frames.  The
   /// frames copy the rows out, so the caller recycle()s the buckets.
   std::vector<vmpi::Bytes> pack(RouterFlushStats& st);
@@ -276,10 +229,9 @@ class ExchangeRouter {
   std::vector<Relation*> targets_;
   // Row buckets, target-major: outgoing_[route_id * nranks + dest].
   std::vector<FoldRun> outgoing_;
-  // What this rank shipped per bucket, same layout; empty unless the
-  // target's filter is live.
-  std::vector<ShippedRun> shipped_;
-  std::vector<DominanceFilter> filters_;  // per target
+  // What this rank shipped per bucket, same layout (empty unless the
+  // target's filter is live), and each target's yield.
+  DominanceFilter dominance_;
   // The hierarchical leader's per-(target, dest) node merge, same layout.
   std::vector<FoldRun> node_runs_;
   std::uint64_t pending_rows_ = 0;

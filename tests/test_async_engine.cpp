@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shipped_run.hpp"
 #include "queries/cc.hpp"
 #include "queries/pagerank.hpp"
 #include "queries/programs.hpp"
@@ -25,12 +26,14 @@ namespace paralagg {
 namespace {
 
 using core::Expr;
+using core::value_t;
 using queries::Tuple;
 
 // A batch no buffer reaches: every row waits for the per-round flush.
 constexpr std::size_t kNeverEager = std::size_t{1} << 40;
-// The flush-only batch and the default eager one.
-const std::size_t kBatches[] = {kNeverEager, 128};
+// One frame per row, a batch no frontier divides evenly, the default eager
+// one and the flush-only batch.
+const std::size_t kBatches[] = {1, 7, 128, kNeverEager};
 
 TEST(AsyncEquivalence, SsspBitIdenticalAcrossRanksAndRouting) {
   const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 31});
@@ -51,7 +54,7 @@ TEST(AsyncEquivalence, SsspBitIdenticalAcrossRanksAndRouting) {
   });
   ASSERT_FALSE(reference.empty());
 
-  for (const int ranks : {1, 2, 5}) {
+  for (int ranks = 1; ranks <= 7; ++ranks) {
     for (const std::size_t batch : kBatches) {
       vmpi::run(ranks, [&](vmpi::Comm& comm) {
         queries::SsspOptions opts;
@@ -63,6 +66,12 @@ TEST(AsyncEquivalence, SsspBitIdenticalAcrossRanksAndRouting) {
         if (comm.rank() == 0) {
           EXPECT_EQ(r.path_count, ref_paths) << "ranks=" << ranks << " batch=" << batch;
           EXPECT_EQ(r.distances, reference) << "ranks=" << ranks << " batch=" << batch;
+          // The STAGE filter dropped repeats the owner already absorbs
+          // (RunResult::router is summed over ranks).
+          if (ranks > 1) {
+            EXPECT_GT(r.run.router.rows_dominated, 0u)
+                << "ranks=" << ranks << " batch=" << batch;
+          }
         }
       });
     }
@@ -85,31 +94,25 @@ TEST(AsyncEquivalence, CcBitIdenticalIncludingSubBuckets) {
   });
   ASSERT_FALSE(reference.empty());
 
-  struct Variant {
-    int ranks;
-    int sub_buckets;
-    std::size_t batch_rows;
-  };
-  const Variant variants[] = {
-      {2, 1, kNeverEager},
-      {2, 4, 128},  // sub-bucketed static side
-      {5, 1, 128},
-      {5, 4, kNeverEager},
-  };
-  for (const auto& v : variants) {
-    vmpi::run(v.ranks, [&](vmpi::Comm& comm) {
-      queries::CcOptions opts;
-      opts.collect_labels = true;
-      opts.tuning.edge_sub_buckets = v.sub_buckets;
-      opts.tuning.use_async = true;
-      opts.tuning.async.batch_rows = v.batch_rows;
-      const auto r = run_cc(comm, g, opts);
-      if (comm.rank() == 0) {
-        EXPECT_EQ(r.component_count, ref_components)
-            << "ranks=" << v.ranks << " sub=" << v.sub_buckets;
-        EXPECT_EQ(r.labels, reference) << "ranks=" << v.ranks << " sub=" << v.sub_buckets;
+  for (int ranks = 1; ranks <= 7; ++ranks) {
+    for (const std::size_t batch : kBatches) {
+      for (const int sub : {1, 4}) {  // 4: a sub-bucketed static side
+        vmpi::run(ranks, [&](vmpi::Comm& comm) {
+          queries::CcOptions opts;
+          opts.collect_labels = true;
+          opts.tuning.edge_sub_buckets = sub;
+          opts.tuning.use_async = true;
+          opts.tuning.async.batch_rows = batch;
+          const auto r = run_cc(comm, g, opts);
+          if (comm.rank() == 0) {
+            EXPECT_EQ(r.component_count, ref_components)
+                << "ranks=" << ranks << " sub=" << sub << " batch=" << batch;
+            EXPECT_EQ(r.labels, reference)
+                << "ranks=" << ranks << " sub=" << sub << " batch=" << batch;
+          }
+        });
       }
-    });
+    }
   }
 }
 
@@ -136,6 +139,8 @@ TEST(AsyncEquivalence, TcBitIdenticalAcrossRanks) {
         const auto r = run_tc(comm, g, opts);
         if (comm.rank() == 0) {
           EXPECT_EQ(r.pairs, reference) << "ranks=" << ranks << " batch=" << batch;
+          // A plain target has no lattice to absorb a repeat.
+          EXPECT_EQ(r.run.router.rows_dominated, 0u) << "ranks=" << ranks;
         }
       });
     }
@@ -248,7 +253,122 @@ TEST(AsyncEngine, LoopIsCollectiveFreeAndPointToPoint) {
       EXPECT_EQ(comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kMax),
                 comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kMin));
     }
+
+    // Every row the loop emitted (one per kernel match; the program has no
+    // init rules) was staged locally, sent, or dropped by the STAGE filter,
+    // and RunResult::router reports the sent and dropped rows.
+    const auto sum = [&](std::uint64_t v) {
+      return comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kSum);
+    };
+    const auto loopback = sum(ls.rows_loopback);
+    const auto sent = sum(ls.stage_rows_sent);
+    const auto dominated = sum(ls.stage_rows_dominated);
+    EXPECT_EQ(run.kernel.matches, loopback + sent + dominated);
+    EXPECT_EQ(run.router.rows_sent, sent);
+    EXPECT_EQ(run.router.rows_dominated, dominated);
+    EXPECT_GT(dominated, 0u);
   });
+}
+
+/// best(dst, v + w) :- best_delta(src, v), edge(src, dst, w) under MAX on 2
+/// ranks.  Node 0 reaches each of `keys` nodes over weights 1, 2 and 3, so
+/// its owner (A) sends every key the peer owns three ascending values: two
+/// key hits per key, none dominated.  One of those keys (on the peer) leads
+/// to a node `hub` on A, whose delta makes A send every key a value of at
+/// most 3 again in a later round — rows a live filter drops.  Returns the
+/// loop stats summed over ranks; `rows` gets the gathered fixpoint (rank 0)
+/// and `remote_keys` the keys A sends.
+async::AsyncLoopStats run_max_fanout(value_t keys, bool use_async, std::vector<Tuple>& rows,
+                                     std::uint64_t& remote_keys) {
+  async::AsyncLoopStats total;
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    core::Program program(comm);
+    auto* edge = program.relation({.name = "edge", .arity = 3, .jcc = 1});
+    auto* best = program.relation({.name = "best",
+                                   .arity = 2,
+                                   .jcc = 1,
+                                   .dep_arity = 1,
+                                   .aggregator = core::make_max_aggregator()});
+    program.stratum().loop_rules.push_back(core::JoinRule{
+        .a = best,
+        .a_version = core::Version::kDelta,
+        .b = edge,
+        .b_version = core::Version::kFull,
+        .out = {.target = best,
+                .cols = {Expr::col_b(1), Expr::add(Expr::col_a(1), Expr::col_b(2))}},
+    });
+    const auto owner = [&](value_t k) { return best->owner_rank(Tuple{k, 0}.view()); };
+    const int a = owner(0);
+    value_t hub = keys + 1;
+    while (owner(hub) != a) ++hub;
+    value_t bridge = 1;
+    while (owner(bridge) == a) ++bridge;
+    std::vector<Tuple> edges, seeds;
+    std::uint64_t theirs = 0;
+    if (comm.rank() == 0) {
+      for (value_t k = 1; k <= keys; ++k) {
+        for (value_t w = 1; w <= 3; ++w) edges.push_back(Tuple{0, k, w});
+        edges.push_back(Tuple{hub, k, 0});
+        if (owner(k) != a) ++theirs;
+      }
+      edges.push_back(Tuple{bridge, hub, 0});
+      seeds.push_back(Tuple{0, 0});
+    }
+    edge->load_facts(edges);
+    best->load_facts(seeds);
+    if (use_async) {
+      async::AsyncEngine engine(comm);
+      EXPECT_FALSE(engine.run(program).aborted_fault);
+      const auto& ls = engine.loop_stats();
+      const auto sum = [&](std::uint64_t v) {
+        return comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kSum);
+      };
+      const auto sent = sum(ls.stage_rows_sent);
+      const auto dominated = sum(ls.stage_rows_dominated);
+      const auto released = sum(ls.filters_released);
+      if (comm.rank() == 0) {
+        total.stage_rows_sent = sent;
+        total.stage_rows_dominated = dominated;
+        total.filters_released = released;
+      }
+    } else {
+      core::Engine engine(comm);
+      EXPECT_FALSE(engine.run(program).aborted_fault);
+    }
+    auto got = best->gather_to_root(0);
+    if (comm.rank() == 0) {
+      rows = std::move(got);
+      remote_keys = theirs;
+    }
+  });
+  return total;
+}
+
+TEST(AsyncEquivalence, LowYieldFilterIsReleasedAndAnswersStayExact) {
+  // 1024 keys: about 1k hits, below kReleaseMinHits, so the filter stays
+  // live and drops A's later repeats.  8192 keys: about 8k hits, none
+  // dominated, so A releases the target at the end of its first round and
+  // ships the repeats.  Both reach the BSP fixpoint.
+  static_assert(core::DominanceFilter::kReleaseMinHits == 4096);
+  for (const value_t keys : {value_t{1024}, value_t{8192}}) {
+    SCOPED_TRACE("keys=" + std::to_string(keys));
+    std::vector<Tuple> reference, got;
+    std::uint64_t remote_keys = 0;
+    (void)run_max_fanout(keys, /*use_async=*/false, reference, remote_keys);
+    const auto ls = run_max_fanout(keys, /*use_async=*/true, got, remote_keys);
+    ASSERT_EQ(reference.size(), static_cast<std::size_t>(keys) + 2);
+    EXPECT_EQ(got, reference);
+    ASSERT_GT(remote_keys, 0u);
+    if (2 * remote_keys < core::DominanceFilter::kReleaseMinHits) {
+      EXPECT_EQ(ls.filters_released, 0u);
+      EXPECT_GE(ls.stage_rows_dominated, remote_keys);
+    } else {
+      EXPECT_EQ(ls.filters_released, 1u);
+      EXPECT_EQ(ls.stage_rows_dominated, 0u);
+      // Three values per key in the first round, at least one more later.
+      EXPECT_GE(ls.stage_rows_sent, 4 * remote_keys);
+    }
+  }
 }
 
 TEST(AsyncRejection, PagerankRefreshSumIsRejectedWithDiagnostic) {

@@ -278,6 +278,62 @@ RelationConfig min_target(AggMode mode = AggMode::kLattice) {
           .aggregator = make_min_aggregator(), .agg_mode = mode};
 }
 
+TEST(DominanceFilter, PerRowCheckAndBatchWalkDropTheSameRows) {
+  // The async loop checks one row at a time, the router walks a folded
+  // bucket with probes in flight; both must drop exactly the rows a plain
+  // map of "⊔ shipped per key" absorbs.  Batches grow past several rehashes
+  // and revisit old keys with better, equal and worse values.
+  for (const auto& agg : {make_min_aggregator(), make_bitor_aggregator()}) {
+    SCOPED_TRACE(std::string(agg->name()));
+    ShippedRun per_row(3, 2, agg.get());
+    ShippedRun batch(3, 2, agg.get());
+    std::map<std::pair<value_t, value_t>, value_t> shipped;
+    std::uint64_t hits_row = 0;
+    std::uint64_t hits_batch = 0;
+    std::uint64_t dropped_total = 0;
+    value_t seq = 0;
+    for (std::size_t b = 0; b < 12; ++b) {
+      FoldRun run(3, 2, agg.get());
+      const std::size_t rows = 40 + 300 * b;
+      for (std::size_t i = 0; i < rows; ++i, ++seq) {
+        const value_t h = storage::mix64(seq);
+        run.append(Tuple{h % (64 + 200 * b), (h >> 20) % 3, 1 + (h >> 32) % 16}.view());
+      }
+      run.fold();
+      std::vector<value_t> want;
+      std::vector<value_t> kept_row;
+      std::uint64_t want_hits = 0;
+      for (std::size_t off = 0; off < run.values().size(); off += 3) {
+        const std::span<const value_t> row(run.values().data() + off, 3);
+        const auto key = std::make_pair(row[0], row[1]);
+        bool drop = false;
+        if (const auto it = shipped.find(key); it != shipped.end()) {
+          ++want_hits;
+          value_t joined = 0;
+          agg->partial_agg(std::span<const value_t>(&it->second, 1), row.subspan(2),
+                           std::span<value_t>(&joined, 1));
+          drop = joined == it->second;
+          it->second = joined;
+        } else {
+          shipped.emplace(key, row[2]);
+        }
+        if (!drop) want.insert(want.end(), row.begin(), row.end());
+        if (!per_row.dominated(row, hits_row)) {
+          kept_row.insert(kept_row.end(), row.begin(), row.end());
+        }
+      }
+      const std::uint64_t before = hits_batch;
+      dropped_total += batch.filter(run, hits_batch);
+      EXPECT_EQ(kept_row, want) << "batch " << b;
+      EXPECT_EQ(std::vector<value_t>(run.values().begin(), run.values().end()), want)
+          << "batch " << b;
+      EXPECT_EQ(hits_batch - before, want_hits) << "batch " << b;
+      EXPECT_EQ(hits_row, hits_batch) << "batch " << b;
+    }
+    EXPECT_GT(dropped_total, 0u);
+  }
+}
+
 TEST(DominanceFilter, MinRepeatNoBetterThanShippedIsDropped) {
   const auto flushes = send_across_flushes(min_target(), /*preaggregate=*/true, {5, 7, 3});
   ASSERT_EQ(flushes.size(), 3u);
@@ -330,7 +386,7 @@ TEST(DominanceFilter, LowYieldHistoryIsReleasedAndAnswersStayExact) {
   // them: 4096 key hits, none dominated, so the history is released.  The
   // third flush repeats worse values, which a live filter would drop; the
   // released router sends them all, and the fixpoint is still exact.
-  const std::size_t keys_per_rank = ExchangeRouter::kReleaseMinHits;
+  const std::size_t keys_per_rank = DominanceFilter::kReleaseMinHits;
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Relation rel(comm, min_target());
     Relation reference(comm, min_target());

@@ -62,6 +62,9 @@ struct LegOutcome {
   std::vector<std::uint64_t> gap_retransmits;  // per rank: the gap-NACK-triggered share
   std::vector<std::uint64_t> nacks;        // per rank: corrupt frames bounced
   std::vector<std::uint64_t> dups;         // per rank: wire duplicates discarded
+  /// RunResult::router.rows_dominated (summed over ranks) when the run
+  /// completed: rows the dominance filter kept off the wire.
+  std::uint64_t dominated = 0;
   [[nodiscard]] bool any_aborted() const {
     for (const int a : aborted) {
       if (a != 0) return true;
@@ -150,6 +153,7 @@ LegOutcome run_leg(Query query, int ranks, const vmpi::RunOptions& options,
     const auto me = static_cast<std::size_t>(comm.rank());
     out.aborted[me] = run.aborted_fault ? 1 : 0;
     out.fault_what[me] = run.fault_what;
+    if (comm.rank() == 0 && !run.aborted_fault) out.dominated = run.router.rows_dominated;
     out.retransmits[me] = comm.stats().retransmits;
     out.gap_retransmits[me] = comm.stats().retransmits_gap;
     out.nacks[me] = comm.stats().nacks_sent;
@@ -573,57 +577,98 @@ TEST(Watchdog, BareRecvStarvationRaisesTimeoutWithStatsSnapshot) {
       vmpi::TimeoutError);
 }
 
+TEST(Watchdog, PeerFaultDuringTheRunSummaryEndsTyped) {
+  // The run summary after the last stratum is collective too.  A peer that
+  // poisons the world while this rank waits there must end this rank's
+  // run with a typed abort, not an exception out of the engine.  The
+  // FaultPlan's kill and stall epochs fire only inside a loop, which every
+  // rank leaves through a collective or token pass of the faulted one, so
+  // the peer poisons the world directly; a program without strata makes
+  // the summary the run's first collective.
+  for (const bool use_async : {false, true}) {
+    SCOPED_TRACE(use_async ? "async" : "bsp");
+    vmpi::RunOptions options;
+    options.watchdog_seconds = kWatchdog;
+    std::vector<int> aborted(2, 0);
+    vmpi::run(2, options, [&](vmpi::Comm& comm) {
+      if (comm.rank() == 1) {
+        comm.world().fault_abort();
+        return;
+      }
+      core::Program program(comm);
+      const auto run = use_async ? async::AsyncEngine(comm).run(program)
+                                 : core::Engine(comm).run(program);
+      aborted[0] = run.aborted_fault ? 1 : 0;
+      EXPECT_FALSE(run.fault_what.empty());
+    });
+    EXPECT_EQ(aborted[0], 1);
+  }
+}
+
 // ---- async engine under faults ---------------------------------------------
 
-LegOutcome run_async_sssp(int ranks, const vmpi::RunOptions& options,
-                          const graph::Graph& g) {
-  return run_leg(Query::kSssp, ranks, options, g, [](queries::QueryTuning& t) {
-    t.use_async = true;
-  });
+LegOutcome run_async(Query query, int ranks, const vmpi::RunOptions& options,
+                     const graph::Graph& g) {
+  return run_leg(query, ranks, options, g,
+                 [](queries::QueryTuning& t) { t.use_async = true; });
+}
+
+/// Run SSSP and CC on the async engine under `plan` (default retry budget)
+/// at 4 and 7 ranks: each must reach its fault-free fixpoint with the STAGE
+/// dominance filter dropping rows, healing with retransmits when asked.
+void expect_async_heals(const vmpi::FaultPlan& plan, bool expect_retransmits) {
+  const auto g = sweep_graph();
+  for (const Query q : {Query::kSssp, Query::kCc}) {
+    const auto clean = run_async(q, 4, vmpi::RunOptions{}, g);
+    ASSERT_FALSE(clean.any_aborted()) << clean.fault_what[0];
+    for (const int ranks : {4, 7}) {
+      SCOPED_TRACE(std::string(query_name(q)) + " at " + std::to_string(ranks) + " ranks");
+      vmpi::RunOptions options;
+      options.fault = plan;
+      options.watchdog_seconds = kWatchdog;
+      const auto leg = run_async(q, ranks, options, g);
+      expect_unanimous(leg);
+      EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
+      EXPECT_EQ(leg.rows, clean.rows);
+      // A row is dropped only against a value already queued for the same
+      // owner, which the channel delivers exactly once, however late.
+      EXPECT_GT(leg.dominated, 0u);
+      if (expect_retransmits) {
+        EXPECT_GT(leg.total_retransmits(), 0u);
+      }
+    }
+  }
 }
 
 TEST(AsyncFaults, DupAndReorderReachBitIdenticalFixpoint) {
-  const auto g = sweep_graph();
-  const auto clean = run_async_sssp(4, vmpi::RunOptions{}, g);
-  ASSERT_FALSE(clean.any_aborted()) << clean.fault_what[0];
-
-  for (const int ranks : {4, 7}) {
-    vmpi::RunOptions options;
-    options.fault.seed = 46;
-    options.fault.dup_prob = 0.10;
-    options.fault.delay_prob = 0.10;
-    options.watchdog_seconds = kWatchdog;
-    SCOPED_TRACE("async dup+reorder at " + std::to_string(ranks) + " ranks");
-    const auto leg = run_async_sssp(ranks, options, g);
-    // Injected duplicates must be invisible: the reliable channel drops
-    // them before the Safra counters see them, so termination still
-    // fires and the lattice fixpoint is exact.
-    EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
-    EXPECT_EQ(leg.rows, clean.rows);
-  }
+  // Injected duplicates must be invisible: the reliable channel drops
+  // them before the Safra counters see them, so termination still fires
+  // and the lattice fixpoint is exact.
+  vmpi::FaultPlan plan;
+  plan.seed = 46;
+  plan.dup_prob = 0.10;
+  plan.delay_prob = 0.10;
+  expect_async_heals(plan, /*expect_retransmits=*/false);
 }
 
 TEST(AsyncFaults, DroppedDeltasHealToExactFixpoint) {
   // Async deltas and the Safra token ride the same reliable channel as
-  // BSP frames: a dropped delta retransmits after backoff, the Safra
-  // counters stay balanced, and termination fires on the bit-identical
-  // lattice fixpoint — with real healing traffic on the wire.
-  const auto g = sweep_graph();
-  const auto clean = run_async_sssp(4, vmpi::RunOptions{}, g);
-  ASSERT_FALSE(clean.any_aborted()) << clean.fault_what[0];
+  // BSP frames: a dropped delta retransmits, the Safra counters stay
+  // balanced, and termination fires on the bit-identical lattice
+  // fixpoint — with real healing traffic on the wire.
+  vmpi::FaultPlan plan;
+  plan.seed = 47;
+  plan.drop_prob = 0.05;
+  expect_async_heals(plan, /*expect_retransmits=*/true);
+}
 
-  for (const int ranks : {4, 7}) {
-    SCOPED_TRACE("async drop at " + std::to_string(ranks) + " ranks");
-    vmpi::RunOptions options;
-    options.fault.seed = 47;
-    options.fault.drop_prob = 0.05;
-    options.watchdog_seconds = kWatchdog;
-    const auto leg = run_async_sssp(ranks, options, g);
-    expect_unanimous(leg);
-    EXPECT_FALSE(leg.any_aborted()) << leg.fault_what[0];
-    EXPECT_EQ(leg.rows, clean.rows);
-    EXPECT_GT(leg.total_retransmits(), 0u);
-  }
+TEST(AsyncFaults, CorruptDeltasHealToExactFixpoint) {
+  // A corrupted frame is NACKed and resent; a row dropped against the
+  // value it carried waits for the resend, never for a different answer.
+  vmpi::FaultPlan plan;
+  plan.seed = 49;
+  plan.corrupt_prob = 0.05;
+  expect_async_heals(plan, /*expect_retransmits=*/true);
 }
 
 TEST(AsyncFaults, LegacyDroppedDeltasStarveTerminationIntoTypedAbort) {
@@ -632,7 +677,7 @@ TEST(AsyncFaults, LegacyDroppedDeltasStarveTerminationIntoTypedAbort) {
   options.fault.seed = 47;
   options.fault.drop_prob = 0.05;
   options.watchdog_seconds = 2.0;
-  const auto leg = run_async_sssp(4, options, g);
+  const auto leg = run_async(Query::kSssp, 4, options, g);
   expect_unanimous(leg);
   // With retry disabled, a dropped delta unbalances the Safra counters
   // forever: tokens keep circulating (so per-recv watchdogs see traffic)
@@ -648,7 +693,7 @@ TEST(AsyncFaults, RankDeathStarvesTokenRingIntoTypedAbort) {
   options.fault.kill_rank = 2;
   options.fault.kill_epoch = 1;
   options.watchdog_seconds = 2.0;
-  const auto leg = run_async_sssp(4, options, g);
+  const auto leg = run_async(Query::kSssp, 4, options, g);
   EXPECT_TRUE(leg.all_aborted());
   EXPECT_NE(leg.fault_what[2].find("injected death"), std::string::npos)
       << leg.fault_what[2];

@@ -99,6 +99,8 @@ TEST(SspEquivalence, PagerankBitIdenticalToBspAcrossRanksAndStaleness) {
         const auto r = run_pagerank(comm, g, opts);
         EXPECT_EQ(r.rounds, 8u) << "ranks=" << ranks << " s=" << s;
         EXPECT_EQ(r.ranked_nodes, g.num_nodes) << "ranks=" << ranks << " s=" << s;
+        // SUM under kRefresh re-folds every partial: nothing is dominated.
+        EXPECT_EQ(r.run.router.rows_dominated, 0u) << "ranks=" << ranks << " s=" << s;
         if (comm.rank() == 0) {
           EXPECT_EQ(r.ranks, reference) << "ranks=" << ranks << " s=" << s;
         }
