@@ -2,8 +2,9 @@
 // — staging throughput and materialization, aggregated vs plain, the
 // within-iteration collapse that makes local aggregation pay, the two
 // ways materialize() places a run into the full tree, the row-frame
-// codec every folded run crosses ranks in, and the dominance filter's
-// probe in front of it.
+// codec every row move crosses ranks in (folded runs and fact-load
+// buffers, with the load's sort), and the dominance filter's probe in
+// front of it.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 
 #include "core/relation.hpp"
 #include "core/shipped_run.hpp"
+#include "graph/generators.hpp"
 #include "vmpi/row_frame.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -157,7 +159,7 @@ BENCHMARK(BM_RunIntoTree)
     ->ArgsProduct({{1 << 12, 1 << 15, 1 << 18}, {4, 16, 32, 64, 128, 512}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-enum class RunShape { kSssp, kCc, kPagerank };
+enum class RunShape { kSssp, kCc, kPagerank, kEdges2, kEdges3, kEdges2Sorted, kEdges3Sorted };
 
 /// A key-sorted, key-unique run shaped like one router bucket after a
 /// fold: ascending node ids owned by one of four ranks.  SSSP rows are
@@ -179,7 +181,7 @@ std::vector<value_t> codec_run(RunShape shape, std::size_t rows) {
         run.insert(run.end(), {node, mix64(node) % 64});
         ++i;
         break;
-      case RunShape::kPagerank:
+      default:
         run.insert(run.end(), {node, mix64(node) >> 24});
         ++i;
         break;
@@ -188,44 +190,85 @@ std::vector<value_t> codec_run(RunShape shape, std::size_t rows) {
   return run;
 }
 
-void BM_RowCodec(benchmark::State& state, RunShape shape, bool decode) {
-  // One 4096-row run (the fold floor) encoded into, or decoded from, a
-  // row-frame section.  row_s is seconds per row; bytes_per_row against
-  // 8 × arity raw.
-  constexpr std::size_t kRows = 4096;
-  const std::size_t arity = shape == RunShape::kSssp ? 3 : 2;
-  const auto run = codec_run(shape, kRows);
-  vmpi::RowFrameWriter w;
-  w.section(0, arity, run);
-  const vmpi::Bytes frame = w.take();
-  std::vector<value_t> out;
+/// One rank's fact-load buffer for one peer on pagerank-rmat's input (RMAT
+/// scale 14, edge factor 8, four ranks): the edges of rank 0's slice
+/// (every fourth) whose source hashes to rank 1, about 8k rows, as (src,
+/// dst) or (src, dst, weight) — in arrival order, or sorted on the source
+/// column as load_facts sorts them.
+std::vector<value_t> load_rows(std::size_t arity, bool sorted) {
+  const auto g = graph::make_rmat({.scale = 14, .edge_factor = 8});
+  std::vector<value_t> rows;
+  for (std::size_t i = 0; i < g.edges.size(); i += 4) {
+    const auto& e = g.edges[i];
+    if (mix64(e.src) % 4 != 1) continue;
+    rows.insert(rows.end(), {e.src, e.dst});
+    if (arity == 3) rows.push_back(e.weight);
+  }
+  if (sorted) storage::sort_rows(rows, arity, 1);
+  return rows;
+}
+
+enum class CodecOp { kEncode, kDecode, kSort };
+
+void BM_RowCodec(benchmark::State& state, RunShape shape, CodecOp op) {
+  // The folded shapes are one 4096-row run (the fold floor); the edge
+  // shapes are a fact-load buffer (load_rows).  kSort times the sort_rows
+  // call load_facts makes before encoding.  row_s is seconds per row;
+  // bytes_per_row against 8 × arity raw.
+  const bool edges = shape >= RunShape::kEdges2;
+  const std::size_t arity =
+      shape == RunShape::kSssp || shape == RunShape::kEdges3 || shape == RunShape::kEdges3Sorted
+          ? 3
+          : 2;
+  const auto rows = edges ? load_rows(arity, shape >= RunShape::kEdges2Sorted)
+                          : codec_run(shape, 4096);
+  const vmpi::Bytes frame = vmpi::encode_rows(arity, rows);
+  std::vector<value_t> out, scratch;
   for (auto _ : state) {
-    if (decode) {
-      out.clear();
-      vmpi::RowFrameReader r(frame);
-      r.section(1, [&](std::uint64_t) { return arity; }, out);
-      benchmark::DoNotOptimize(out.data());
-    } else {
-      vmpi::RowFrameWriter enc;
-      enc.section(0, arity, run);
-      const vmpi::Bytes encoded = enc.take();
-      benchmark::DoNotOptimize(encoded.data());
+    switch (op) {
+      case CodecOp::kEncode: {
+        const vmpi::Bytes encoded = vmpi::encode_rows(arity, rows);
+        benchmark::DoNotOptimize(encoded.data());
+        break;
+      }
+      case CodecOp::kDecode:
+        out.clear();
+        vmpi::decode_rows(frame, arity, out);
+        benchmark::DoNotOptimize(out.data());
+        break;
+      case CodecOp::kSort:
+        state.PauseTiming();
+        out = rows;
+        state.ResumeTiming();
+        storage::sort_rows(std::span<value_t>(out), arity, 1, scratch);
+        benchmark::DoNotOptimize(out.data());
+        break;
     }
     benchmark::ClobberMemory();
   }
-  const auto rows = static_cast<double>(state.iterations() * kRows);
-  state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+  const auto n = static_cast<double>(rows.size() / arity);
+  const auto done = static_cast<double>(state.iterations()) * n;
+  state.SetItemsProcessed(static_cast<std::int64_t>(done));
   state.counters["row_s"] =
-      benchmark::Counter(rows, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-  state.counters["bytes_per_row"] =
-      static_cast<double>(frame.size()) / static_cast<double>(kRows);
+      benchmark::Counter(done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["bytes_per_row"] = static_cast<double>(frame.size()) / n;
 }
-BENCHMARK_CAPTURE(BM_RowCodec, sssp_encode, RunShape::kSssp, false);
-BENCHMARK_CAPTURE(BM_RowCodec, sssp_decode, RunShape::kSssp, true);
-BENCHMARK_CAPTURE(BM_RowCodec, cc_encode, RunShape::kCc, false);
-BENCHMARK_CAPTURE(BM_RowCodec, cc_decode, RunShape::kCc, true);
-BENCHMARK_CAPTURE(BM_RowCodec, pagerank_encode, RunShape::kPagerank, false);
-BENCHMARK_CAPTURE(BM_RowCodec, pagerank_decode, RunShape::kPagerank, true);
+BENCHMARK_CAPTURE(BM_RowCodec, sssp_encode, RunShape::kSssp, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, sssp_decode, RunShape::kSssp, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, cc_encode, RunShape::kCc, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, cc_decode, RunShape::kCc, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, pagerank_encode, RunShape::kPagerank, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, pagerank_decode, RunShape::kPagerank, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges2_arrival_encode, RunShape::kEdges2, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges2_arrival_decode, RunShape::kEdges2, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges2_sort, RunShape::kEdges2, CodecOp::kSort);
+BENCHMARK_CAPTURE(BM_RowCodec, edges2_sorted_encode, RunShape::kEdges2Sorted, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges2_sorted_decode, RunShape::kEdges2Sorted, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges3_arrival_encode, RunShape::kEdges3, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges3_arrival_decode, RunShape::kEdges3, CodecOp::kDecode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges3_sort, RunShape::kEdges3, CodecOp::kSort);
+BENCHMARK_CAPTURE(BM_RowCodec, edges3_sorted_encode, RunShape::kEdges3Sorted, CodecOp::kEncode);
+BENCHMARK_CAPTURE(BM_RowCodec, edges3_sorted_decode, RunShape::kEdges3Sorted, CodecOp::kDecode);
 
 void BM_ShippedRun(benchmark::State& state, bool batch) {
   // One history of `keys` SSSP-shaped keys (spath (to, from, dist), MIN)

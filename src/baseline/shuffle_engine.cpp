@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "storage/btree.hpp"
 #include "storage/tuple.hpp"
 #include "vmpi/row_frame.hpp"
 
@@ -18,21 +19,14 @@ struct Tup3 {
   value_t a, b, c;
 };
 
-// The comparators' per-iteration rows cross ranks as row frames, the same
-// codec as PARALAGG's per-iteration exchanges, so Table I compares
-// aggregation designs rather than wire formats.  As on PARALAGG's side
-// (load_facts), the one-shot input distribution keeps raw words.  Rows
-// keep their generation order.
-vmpi::Bytes encode_tups(const std::vector<Tup3>& rows) {
+std::vector<value_t> flatten(const std::vector<Tup3>& rows) {
   std::vector<value_t> flat;
   flat.reserve(rows.size() * 3);
   for (const auto& t : rows) flat.insert(flat.end(), {t.a, t.b, t.c});
-  return vmpi::encode_rows(3, flat);
+  return flat;
 }
 
-std::vector<Tup3> decode_tups(std::span<const std::byte> frame) {
-  std::vector<value_t> flat;
-  vmpi::decode_rows(frame, 3, flat);
+std::vector<Tup3> unflatten(std::span<const value_t> flat) {
   std::vector<Tup3> rows;
   rows.reserve(flat.size() / 3);
   for (std::size_t i = 0; i < flat.size(); i += 3) {
@@ -41,15 +35,23 @@ std::vector<Tup3> decode_tups(std::span<const std::byte> frame) {
   return rows;
 }
 
-/// One per-iteration all-to-all row shuffle.  Collective.
-std::vector<std::vector<Tup3>> shuffle(vmpi::Comm& comm,
-                                       const std::vector<std::vector<Tup3>>& send) {
-  std::vector<vmpi::Bytes> frames(send.size());
-  for (std::size_t d = 0; d < send.size(); ++d) frames[d] = encode_tups(send[d]);
-  const auto got = comm.alltoallv(std::move(frames));
-  std::vector<std::vector<Tup3>> out(got.size());
-  for (std::size_t s = 0; s < got.size(); ++s) out[s] = decode_tups(got[s]);
-  return out;
+/// One all-to-all row shuffle; returns the arrivals in source order.  The
+/// comparators' rows cross ranks through vmpi::exchange_rows, the helper
+/// PARALAGG's row moves use, so Table I compares aggregation designs
+/// rather than wire formats.  `sorted` sorts each remote buffer on its
+/// leading column first: the one-shot input distribution does, as
+/// load_facts does; per-iteration rows keep their generation order.
+/// Collective.
+std::vector<Tup3> shuffle(vmpi::Comm& comm, const std::vector<std::vector<Tup3>>& send,
+                          bool sorted) {
+  std::vector<std::vector<value_t>> flat(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    flat[d] = flatten(send[d]);
+    if (sorted && d != static_cast<std::size_t>(comm.rank())) {
+      storage::sort_rows(flat[d], 3, 1);
+    }
+  }
+  return unflatten(vmpi::exchange_rows(comm, 3, std::move(flat), /*faultable=*/false));
 }
 
 std::size_t owner1(value_t x, int n) { return static_cast<std::size_t>(mix64(x) % static_cast<std::uint64_t>(n)); }
@@ -72,11 +74,8 @@ std::unordered_map<value_t, std::vector<std::pair<value_t, value_t>>> build_adja
     send[owner1(e.src, n)].push_back({e.src, e.dst, e.weight});
     if (symmetrize) send[owner1(e.dst, n)].push_back({e.dst, e.src, e.weight});
   }
-  auto got = comm.alltoallv_t(send);
   std::unordered_map<value_t, std::vector<std::pair<value_t, value_t>>> adj;
-  for (const auto& buf : got) {
-    for (const auto& t : buf) adj[t.a].emplace_back(t.b, t.c);
-  }
+  for (const auto& t : shuffle(comm, send, /*sorted=*/true)) adj[t.a].emplace_back(t.b, t.c);
   return adj;
 }
 
@@ -112,15 +111,12 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
           opts.mode == ShuffleMode::kMaster ? 0 : owner2(s.a, s.b, n);
       send[dst].push_back(s);
     }
-    auto got = comm.alltoallv_t(send);
-    for (const auto& buf : got) {
-      for (const auto& t : buf) {
-        auto& slot = best[t.a];
-        auto it = slot.find(t.b);
-        if (it == slot.end() || t.c < it->second) {
-          slot[t.b] = t.c;
-          delta.push_back(t);
-        }
+    for (const auto& t : shuffle(comm, send, /*sorted=*/true)) {
+      auto& slot = best[t.a];
+      auto it = slot.find(t.b);
+      if (it == slot.end() || t.c < it->second) {
+        slot[t.b] = t.c;
+        delta.push_back(t);
       }
     }
   }
@@ -130,7 +126,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     // Hop 1: route the delta to the join owners (hash of the join column).
     std::vector<std::vector<Tup3>> to_join(static_cast<std::size_t>(n));
     for (const auto& t : delta) to_join[owner1(t.a, n)].push_back(t);
-    auto at_join = shuffle(comm, to_join);
+    const auto at_join = shuffle(comm, to_join, /*sorted=*/false);
 
     // Local join against the adjacency partition.
     std::vector<std::vector<Tup3>> candidates(static_cast<std::size_t>(n));
@@ -141,48 +137,45 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
         candidates[0].push_back(c);  // master collects everything
       }
     };
-    for (const auto& buf : at_join) {
-      for (const auto& t : buf) {
-        const auto a = adj.find(t.a);
-        if (a == adj.end()) continue;
-        for (const auto& [v, w] : a->second) {
-          route_candidate({v, t.b, t.c + (weighted ? w : 0)});
-        }
+    for (const auto& t : at_join) {
+      const auto a = adj.find(t.a);
+      if (a == adj.end()) continue;
+      for (const auto& [v, w] : a->second) {
+        route_candidate({v, t.b, t.c + (weighted ? w : 0)});
       }
     }
 
     // Hop 2: aggregation exchange.
     std::vector<Tup3> changed;
     if (opts.mode == ShuffleMode::kShuffle) {
-      auto at_reducer = shuffle(comm, candidates);
-      for (const auto& buf : at_reducer) {
-        for (const auto& t : buf) {
-          auto& slot = best[t.a];
-          auto it = slot.find(t.b);
-          if (it == slot.end() || t.c < it->second) {
-            slot[t.b] = t.c;
-            changed.push_back(t);
-          }
+      for (const auto& t : shuffle(comm, candidates, /*sorted=*/false)) {
+        auto& slot = best[t.a];
+        auto it = slot.find(t.b);
+        if (it == slot.end() || t.c < it->second) {
+          slot[t.b] = t.c;
+          changed.push_back(t);
         }
       }
     } else {
       // Master mode: rank 0 owns the whole map.
-      auto at_master = shuffle(comm, candidates);
+      const auto at_master = shuffle(comm, candidates, /*sorted=*/false);
       std::vector<Tup3> master_changed;
       if (comm.rank() == 0) {
-        for (const auto& buf : at_master) {
-          for (const auto& t : buf) {
-            auto& slot = best[t.a];
-            auto it = slot.find(t.b);
-            if (it == slot.end() || t.c < it->second) {
-              slot[t.b] = t.c;
-              master_changed.push_back(t);
-            }
+        for (const auto& t : at_master) {
+          auto& slot = best[t.a];
+          auto it = slot.find(t.b);
+          if (it == slot.end() || t.c < it->second) {
+            slot[t.b] = t.c;
+            master_changed.push_back(t);
           }
         }
       }
-      // Broadcast the changed rows; each rank adopts a slice as its delta.
-      const auto all_changed = decode_tups(comm.bcast(0, encode_tups(master_changed)));
+      // Broadcast the changed rows as one frame; each rank adopts a slice
+      // as its delta.
+      std::vector<value_t> all_flat;
+      vmpi::decode_rows(comm.bcast(0, vmpi::encode_rows(3, flatten(master_changed))), 3,
+                        all_flat);
+      const auto all_changed = unflatten(all_flat);
       const auto stride = static_cast<std::size_t>(n);
       for (std::size_t idx = me; idx < all_changed.size(); idx += stride) {
         changed.push_back(all_changed[idx]);
@@ -194,11 +187,8 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     {
       std::vector<std::vector<Tup3>> to_store(static_cast<std::size_t>(n));
       for (const auto& t : changed) to_store[owner3(t.a, t.b, t.c, n)].push_back(t);
-      auto at_store = shuffle(comm, to_store);
-      for (const auto& buf : at_store) {
-        for (const auto& t : buf) {
-          store.insert(mix64(mix64(mix64(t.a) ^ t.b) ^ t.c));
-        }
+      for (const auto& t : shuffle(comm, to_store, /*sorted=*/false)) {
+        store.insert(mix64(mix64(mix64(t.a) ^ t.b) ^ t.c));
       }
     }
 

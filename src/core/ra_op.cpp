@@ -48,17 +48,6 @@ std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& o
   return shipped;
 }
 
-/// Encode every destination buffer as a single-relation row frame
-/// (integrity on a faultable world is vmpi::ReliableChannel's job).
-std::vector<vmpi::Bytes> encode_all(const std::vector<std::vector<value_t>>& outgoing,
-                                    std::size_t arity) {
-  std::vector<vmpi::Bytes> send(outgoing.size());
-  for (std::size_t d = 0; d < outgoing.size(); ++d) {
-    send[d] = vmpi::encode_rows(arity, outgoing[d]);
-  }
-  return send;
-}
-
 }  // namespace
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
@@ -93,22 +82,22 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
   const Version inner_version = plan.a_outer ? rule.b_version : rule.a_version;
 
   // ---- Phase: outer serialization + intra-bucket exchange -------------------
-  std::vector<vmpi::Bytes> received_outer;
+  std::vector<value_t> batch;
   {
     PhaseScope scope(comm, profile, Phase::kIntraBucket);
     std::vector<std::vector<value_t>> outgoing(static_cast<std::size_t>(comm.size()));
     stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner,
                                                  outgoing, &stats.hot_broadcast_rows);
     profile.add_work(Phase::kIntraBucket, stats.outer_tuples_shipped);
-    received_outer = comm.alltoallv_mailbox(encode_all(outgoing, outer.arity()));
+    // Row frames on the faultable entry (integrity on a faultable world is
+    // vmpi::ReliableChannel's job); loopback rows skip the codec.
+    batch = vmpi::exchange_rows(comm, outer.arity(), std::move(outgoing), /*faultable=*/true);
   }
 
   // ---- Phase: local join (outputs emitted into the router) ------------------
   {
     PhaseScope scope(comm, profile, Phase::kLocalJoin);
     const std::size_t arity = outer.arity();
-    std::vector<value_t> batch;
-    for (const auto& buf : received_outer) vmpi::decode_rows(buf, arity, batch);
     // Each source ships a key-sorted scan; a stable sort on the join key
     // merges them, so the kernel seeks once per distinct key.
     storage::sort_rows(batch, arity, jcc);

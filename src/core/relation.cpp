@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "vmpi/crc32.hpp"
+#include "vmpi/row_frame.hpp"
 
 namespace paralagg::core {
 
@@ -116,29 +117,28 @@ std::uint64_t Relation::adopt_hot_keys(std::vector<Tuple> keys) {
   const auto me = comm_->rank();
   std::uint64_t moved = 0;
   for (const Version v : {Version::kFull, Version::kDelta}) {
-    std::vector<vmpi::BufferWriter> outgoing(n);
-    std::vector<Tuple> moving;
+    std::vector<std::vector<value_t>> outgoing(n);
     for (const auto& key : changed) {
       tree(v).scan_prefix(key.view(), [&](std::span<const value_t> t) {
         const int dst = route_rank(t);
         if (dst == me) return;  // already in place under the new layout
-        outgoing[static_cast<std::size_t>(dst)].put_span(t);
-        moving.emplace_back(t);
+        auto& rows = outgoing[static_cast<std::size_t>(dst)];
+        rows.insert(rows.end(), t.begin(), t.end());
+        ++moved;
       });
     }
-    for (const auto& t : moving) tree(v).erase_key(t.view().subspan(0, indep_arity()));
-    std::vector<vmpi::Bytes> send(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      if (d != static_cast<std::size_t>(me)) moved += outgoing[d].size();
-      send[d] = outgoing[d].take();
+    for (const auto& rows : outgoing) {
+      for (std::size_t off = 0; off < rows.size(); off += cfg_.arity) {
+        tree(v).erase_key(std::span<const value_t>(rows).subspan(off, indep_arity()));
+      }
     }
-    auto got = comm_->alltoallv(std::move(send));
-    for (const auto& buf : got) {
-      vmpi::TypedReader<value_t> r(buf);
-      while (!r.done()) tree(v).insert(r.take_span(cfg_.arity));
+    const auto got = vmpi::exchange_rows(*comm_, cfg_.arity, std::move(outgoing),
+                                         /*faultable=*/false);
+    for (std::size_t off = 0; off < got.size(); off += cfg_.arity) {
+      tree(v).insert(std::span<const value_t>(got).subspan(off, cfg_.arity));
     }
   }
-  return moved / (cfg_.arity * sizeof(value_t));
+  return moved;
 }
 
 void Relation::ranks_of_bucket(std::uint32_t bucket, std::vector<int>& out) const {
@@ -285,19 +285,22 @@ Tuple Relation::retract_key(std::span<const value_t> key) {
 
 void Relation::load_facts(std::span<const Tuple> slice) {
   const auto n = static_cast<std::size_t>(comm_->size());
-  std::vector<vmpi::BufferWriter> outgoing(n);
+  std::vector<std::vector<value_t>> outgoing(n);
   for (const auto& t : slice) {
     assert(t.size() == cfg_.arity);
-    outgoing[static_cast<std::size_t>(route_rank(t.view()))].put_span(t.view());
+    auto& rows = outgoing[static_cast<std::size_t>(route_rank(t.view()))];
+    rows.insert(rows.end(), t.view().begin(), t.view().end());
   }
-  std::vector<vmpi::Bytes> send(n);
-  for (std::size_t d = 0; d < n; ++d) send[d] = outgoing[d].take();
-  auto got = comm_->alltoallv(std::move(send));
-
-  for (const auto& buf : got) {
-    vmpi::TypedReader<value_t> r(buf);
-    stage_rows(r.take_span(r.remaining()));
+  // Key-sorted rows are what make a frame small (DESIGN.md §6.2); sorting
+  // whole rows would shrink RMAT edges another 10% for twice the sort.
+  // Duplicates stay: every loaded row is one support event at its owner.
+  for (std::size_t d = 0; d < n; ++d) {
+    if (d != static_cast<std::size_t>(comm_->rank())) {
+      storage::sort_rows(outgoing[d], cfg_.arity, cfg_.jcc);
+    }
   }
+  stage_rows(vmpi::exchange_rows(*comm_, cfg_.arity, std::move(outgoing),
+                                 /*faultable=*/false));
   materialize();
 }
 
@@ -305,20 +308,36 @@ std::uint64_t Relation::global_size(Version v) {
   return comm_->allreduce<std::uint64_t>(local_size(v), vmpi::ReduceOp::kSum);
 }
 
-std::vector<Tuple> Relation::gather_to_root(int root) {
-  vmpi::BufferWriter w;
-  serialize_all(Version::kFull, w);
-  const auto mine = w.take();
-  auto all = comm_->gatherv(root, mine);
+std::vector<std::vector<value_t>> Relation::gather_rows(int root) const {
+  std::vector<value_t> mine;
+  mine.reserve(full_.size() * cfg_.arity);
+  full_.for_each(
+      [&](std::span<const value_t> t) { mine.insert(mine.end(), t.begin(), t.end()); });
+  // The root's own scan skips the codec, as in vmpi::exchange_rows.
+  const bool at_root = comm_->rank() == root;
+  const auto frames =
+      comm_->gatherv(root, at_root ? vmpi::Bytes{} : vmpi::encode_rows(cfg_.arity, mine));
+  std::vector<std::vector<value_t>> rows(frames.size());
+  for (std::size_t s = 0; s < frames.size(); ++s) {
+    if (s == static_cast<std::size_t>(root)) {
+      rows[s] = std::move(mine);
+    } else {
+      vmpi::decode_rows(frames[s], cfg_.arity, rows[s]);
+    }
+  }
+  return rows;
+}
 
-  std::vector<Tuple> out;
-  if (comm_->rank() != root) return out;
+std::vector<Tuple> Relation::gather_to_root(int root) {
+  const auto parts = gather_rows(root);
   std::size_t total = 0;
-  for (const auto& buf : all) total += buf.size() / (cfg_.arity * sizeof(value_t));
+  for (const auto& part : parts) total += part.size() / cfg_.arity;
+  std::vector<Tuple> out;
   out.reserve(total);
-  for (const auto& buf : all) {
-    vmpi::TypedReader<value_t> r(buf);
-    while (!r.done()) out.emplace_back(r.take_span(cfg_.arity));
+  for (const auto& part : parts) {
+    for (std::size_t off = 0; off < part.size(); off += cfg_.arity) {
+      out.emplace_back(std::span<const value_t>(part).subspan(off, cfg_.arity));
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -341,30 +360,25 @@ std::uint64_t Relation::reshuffle_to_sub_buckets(int new_sub_buckets,
   // Re-route both versions under the new mapping.  Delta must survive a
   // mid-fixpoint rebalance, so it travels tagged separately from full.
   for (const Version v : {Version::kFull, Version::kDelta}) {
-    std::vector<vmpi::BufferWriter> outgoing(n);
+    std::vector<std::vector<value_t>> outgoing(n);
     // route_rank, not owner_rank: hot rows keep their H2 spread placement
     // (independent of sub_buckets_), so a rebalance never disturbs them.
     tree(v).for_each([&](std::span<const value_t> t) {
-      outgoing[static_cast<std::size_t>(route_rank(t))].put_span(t);
+      auto& rows = outgoing[static_cast<std::size_t>(route_rank(t))];
+      rows.insert(rows.end(), t.begin(), t.end());
     });
-    std::vector<vmpi::Bytes> send(n);
+    // The balancer prices moves in raw row bytes (plan_fanout projects in
+    // the same unit); CommStats counts the frames.
     for (std::size_t d = 0; d < n; ++d) {
-      if (d != static_cast<std::size_t>(me)) {
-        moved_bytes += outgoing[d].size();
-        if (cross_bytes != nullptr && !topo.same_node(me, static_cast<int>(d))) {
-          *cross_bytes += outgoing[d].size();
-        }
+      if (d == static_cast<std::size_t>(me)) continue;
+      const std::uint64_t bytes = outgoing[d].size() * sizeof(value_t);
+      moved_bytes += bytes;
+      if (cross_bytes != nullptr && !topo.same_node(me, static_cast<int>(d))) {
+        *cross_bytes += bytes;
       }
-      send[d] = outgoing[d].take();
     }
-    auto got = comm_->alltoallv(std::move(send));
-
-    std::vector<value_t> rows;
-    for (const auto& buf : got) {
-      vmpi::TypedReader<value_t> r(buf);
-      const auto span = r.take_span(r.remaining());
-      rows.insert(rows.end(), span.begin(), span.end());
-    }
+    auto rows = vmpi::exchange_rows(*comm_, cfg_.arity, std::move(outgoing),
+                                    /*faultable=*/false);
     // Every key lives on exactly one rank, so the merged rows are key-unique.
     storage::sort_rows(rows, cfg_.arity, indep_arity());
     tree(v).assign_sorted(rows);
@@ -382,27 +396,23 @@ constexpr std::size_t kCheckpointHeaderWords = 5;
 }  // namespace
 
 void Relation::save_checkpoint(const std::string& path) {
-  vmpi::BufferWriter w;
-  serialize_all(Version::kFull, w);
-  const auto mine = w.take();
-  auto all = comm_->gatherv(0, mine);
-
+  const auto parts = gather_rows(0);
   if (comm_->rank() == 0) {
     std::ofstream out(path, std::ios::binary);
     if (!out) throw std::runtime_error("checkpoint: cannot open for writing: " + path);
     std::uint64_t count = 0;
     std::uint32_t crc_state = vmpi::kCrc32Init;
-    for (const auto& buf : all) {
-      count += buf.size() / (cfg_.arity * sizeof(value_t));
-      crc_state = vmpi::crc32_update(crc_state, buf);
+    for (const auto& part : parts) {
+      count += part.size() / cfg_.arity;
+      crc_state = vmpi::crc32_update(crc_state, std::as_bytes(std::span(part)));
     }
     const std::uint64_t header[kCheckpointHeaderWords] = {
         kCheckpointMagic, kCheckpointVersion, cfg_.arity, count,
         crc_state ^ vmpi::kCrc32Init};
     out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    for (const auto& buf : all) {
-      out.write(reinterpret_cast<const char*>(buf.data()),
-                static_cast<std::streamsize>(buf.size()));
+    for (const auto& part : parts) {
+      out.write(reinterpret_cast<const char*>(part.data()),
+                static_cast<std::streamsize>(part.size() * sizeof(value_t)));
     }
     if (!out) throw std::runtime_error("checkpoint: write failed: " + path);
   }
@@ -467,10 +477,6 @@ void Relation::load_checkpoint(const std::string& path) {
 
   reset();
   load_facts(rows);  // rank 0 contributes everything; others pass empty
-}
-
-void Relation::serialize_all(Version v, vmpi::BufferWriter& w) const {
-  tree(v).for_each([&](std::span<const value_t> t) { w.put_span(t); });
 }
 
 }  // namespace paralagg::core

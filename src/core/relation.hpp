@@ -269,15 +269,12 @@ class Relation {
   /// load_facts.  Throws std::runtime_error on IO or format errors.
   void load_checkpoint(const std::string& path);
 
-  // -- serialization helpers ----------------------------------------------------
-
-  void serialize_all(Version v, vmpi::BufferWriter& w) const;
-  static void serialize_tuple(vmpi::BufferWriter& w, std::span<const value_t> t) {
-    w.put_span(t);
-  }
-
  private:
   void validate_config() const;
+  /// Every rank's rows of `full`, flat, gathered to `root` and indexed by
+  /// rank (empty elsewhere): each peer's scan crosses as one row frame.
+  /// Collective.
+  [[nodiscard]] std::vector<std::vector<value_t>> gather_rows(int root) const;
   [[nodiscard]] std::size_t effective_sub_cols() const {
     return indep_arity() - cfg_.jcc;  // columns feeding H2
   }

@@ -200,20 +200,6 @@ void ServingEngine::classify_and_validate() {
   }
 }
 
-std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send,
-                                                  std::size_t arity) {
-  // Owner-routed mutation rows ride the faultable alltoallv entry, like
-  // the engines' row frames, so the reliable channel checks and
-  // deduplicates every frame before the decode.
-  std::vector<vmpi::Bytes> frames(send.size());
-  for (std::size_t d = 0; d < send.size(); ++d) frames[d] = vmpi::encode_rows(arity, send[d]);
-  std::vector<value_t> flat;
-  for (const auto& b : comm_->alltoallv_mailbox(std::move(frames))) {
-    vmpi::decode_rows(b, arity, flat);
-  }
-  return flat;
-}
-
 std::vector<std::pair<Relation*, Relation::LocalSnapshot>> ServingEngine::snapshot_all()
     const {
   std::vector<std::pair<Relation*, Relation::LocalSnapshot>> snaps;
@@ -285,7 +271,8 @@ void ServingEngine::build_reverse_indexes() {
           std::copy(row.begin(), row.end(), rrow.begin() + 1);
           append_row(send[static_cast<std::size_t>(rs.rev->owner_rank(rrow))], rrow);
         });
-    auto flat = exchange_flat(std::move(send), rs.rev->arity());
+    auto flat = vmpi::exchange_rows(*comm_, rs.rev->arity(), std::move(send),
+                                     /*faultable=*/true);
     // Base rows are distinct, so their reverse rows are too.
     storage::sort_rows(flat, rs.rev->arity(), rs.rev->indep_arity());
     rs.rev->tree(core::Version::kFull).assign_sorted(flat);
@@ -336,7 +323,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
       }
     }
     const std::size_t ar = b->arity();
-    auto dflat = exchange_flat(std::move(del), ar);
+    auto dflat = vmpi::exchange_rows(*comm_, ar, std::move(del), /*faultable=*/true);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       const std::span<const value_t> row{dflat.data() + off, ar};
       if (b->tree(core::Version::kFull).erase_key(row)) {
@@ -346,7 +333,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
         ++res.missing_deletes;
       }
     }
-    auto iflat = exchange_flat(std::move(ins), ar);
+    auto iflat = vmpi::exchange_rows(*comm_, ar, std::move(ins), /*faultable=*/true);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       const std::span<const value_t> row{iflat.data() + off, ar};
       if (b->tree(core::Version::kFull).insert(row)) {
@@ -373,12 +360,12 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     pack(rows_of(deleted, rs.base), del);
     pack(rows_of(inserted, rs.base), ins);
     const std::size_t ar = rs.rev->arity();
-    auto dflat = exchange_flat(std::move(del), ar);
+    auto dflat = vmpi::exchange_rows(*comm_, ar, std::move(del), /*faultable=*/true);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       rs.rev->tree(core::Version::kFull)
           .erase_key(std::span<const value_t>{dflat.data() + off, ar});
     }
-    auto iflat = exchange_flat(std::move(ins), ar);
+    auto iflat = vmpi::exchange_rows(*comm_, ar, std::move(ins), /*faultable=*/true);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       rs.rev->tree(core::Version::kFull)
           .insert(std::span<const value_t>{iflat.data() + off, ar});
@@ -402,7 +389,7 @@ void ServingEngine::exchange_join(const core::JoinRule& jr, bool probe_is_a,
     partner.ranks_of_bucket(partner.bucket_of(p), dests);
     for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p);
   }
-  auto flat = exchange_flat(std::move(send), ar);
+  auto flat = vmpi::exchange_rows(*comm_, ar, std::move(send), /*faultable=*/true);
   storage::sort_rows(flat, ar, partner.jcc());
   core::LocalJoin join(jr, partner.tree(core::Version::kFull), probe_is_a);
   join.probe_all(flat, ar, owner_sink(*jr.out.target, out));
@@ -436,7 +423,7 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
     std::uint64_t round_retracted = 0;
     for (Relation* t : rec_targets_) {
       const std::size_t ar = t->arity(), indep = t->indep_arity();
-      auto flat = exchange_flat(std::move(cand[t]), ar);
+      auto flat = vmpi::exchange_rows(*comm_, ar, std::move(cand[t]), /*faultable=*/true);
       for (std::size_t off = 0; off < flat.size(); off += ar) {
         const std::span<const value_t> row{flat.data() + off, ar};
         const auto key = row.first(indep);
@@ -500,7 +487,7 @@ void ServingEngine::recover_retracted(const KeysBy& retracted) {
       scan_rel->ranks_of_bucket(scan_rel->bucket_of(one), dests);
       for (const int d : dests) ksend[static_cast<std::size_t>(d)].push_back(k0);
     }
-    auto kflat = exchange_flat(std::move(ksend), 1);
+    auto kflat = vmpi::exchange_rows(*comm_, 1, std::move(ksend), /*faultable=*/true);
     // Dedupe arrivals too: distinct owners may request the same column value.
     const std::unordered_set<value_t> kset(kflat.begin(), kflat.end());
 
@@ -526,7 +513,7 @@ void ServingEngine::recover_retracted(const KeysBy& retracted) {
     // batch retracted — survivors keep their state, and the insert-seeding
     // pass (which skips retracted keys) covers everything else.
     const std::size_t tar = target->arity(), indep = target->indep_arity();
-    auto cflat = exchange_flat(std::move(out), tar);
+    auto cflat = vmpi::exchange_rows(*comm_, tar, std::move(out), /*faultable=*/true);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};
@@ -551,7 +538,7 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
       copy_rows(c, rows_of(inserted_base, c.src), out);
     }
     const std::size_t tar = target->arity(), indep = target->indep_arity();
-    auto cflat = exchange_flat(std::move(out), tar);
+    auto cflat = vmpi::exchange_rows(*comm_, tar, std::move(out), /*faultable=*/true);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};

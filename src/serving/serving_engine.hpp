@@ -41,6 +41,12 @@
 // re-derivation pass), replays the batches since, and serves on — the
 // same superset-restart argument as checkpoint resume.
 //
+// Every mutation row (base deltas, reverse-index rows, wavefront and
+// recovery probes, candidates) crosses ranks through vmpi::exchange_rows
+// on the faultable entry, so the reliable channel checks and deduplicates
+// each frame before the decode; with the retry budget off, damage aborts
+// the batch typed.
+//
 // Everything here is SPMD-collective: every rank constructs the same
 // ServingEngine over the same Program and calls start / apply_updates /
 // lookup in the same order.  Lookups are legal between batches and are
@@ -221,14 +227,6 @@ class ServingEngine {
   using KeysBy = std::unordered_map<Relation*, std::unordered_set<Tuple, storage::TupleHash>>;
 
   void classify_and_validate();
-
-  /// Route `send[dest]` flat rows of `arity` columns and return the
-  /// received rows, flattened.  Rides the faultable mailbox exchange
-  /// (vmpi::Comm::alltoallv_mailbox), so serving's mutation traffic is
-  /// checked and healed by the reliable transport (with the retry budget
-  /// off, damage aborts the batch typed).
-  std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send,
-                                     std::size_t arity);
 
   /// Snapshot every mutable relation (cfg_.rollback only; empty otherwise).
   [[nodiscard]] std::vector<std::pair<Relation*, Relation::LocalSnapshot>>

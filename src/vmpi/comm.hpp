@@ -423,8 +423,10 @@ class Comm {
   /// Personalised exchange (MPI_Alltoallv): send[d] goes to rank d;
   /// returns recv[s] from each rank s, the self-destined buffer included.
   /// n-1 relay sends (moved, not copied) and n-1 receives on one rotated
-  /// tag, recorded as one call and one step.  The one-shot moves run here
-  /// (fact loads, reshuffles, hot-key moves, alltoallv_t).
+  /// tag, recorded as one call and one step.  The one-shot row moves run
+  /// here as row frames through vmpi::exchange_rows (fact loads,
+  /// reshuffles, hot-key moves, the comparators' shuffles); so does
+  /// alltoallv_t.
   std::vector<Bytes> alltoallv(std::vector<Bytes> send) {
     return exchange(std::move(send), /*faultable=*/false);
   }
@@ -432,8 +434,9 @@ class Comm {
   /// alltoallv with the remote buffers on the faultable path, where the
   /// FaultPlan reaches them and the reliable channel heals them; the same
   /// exchange without an engaged channel.  A running engine's row frames
-  /// ride it: router flushes, intra-bucket exchanges, the hierarchical
-  /// leaders' exchange and serving's mutation rows.
+  /// ride it: router flushes, the hierarchical leaders' exchange, and
+  /// (through vmpi::exchange_rows) intra-bucket exchanges and serving's
+  /// mutation rows.
   std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send) {
     return exchange(std::move(send), /*faultable=*/true);
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "vmpi/comm.hpp"
+
 namespace paralagg::vmpi {
 
 namespace {
@@ -99,6 +101,32 @@ void decode_rows(std::span<const std::byte> frame, std::size_t arity,
                  std::vector<std::uint64_t>& out) {
   RowFrameReader r(frame);
   while (!r.done()) r.section(1, [&](std::uint64_t) { return arity; }, out);
+}
+
+std::vector<std::uint64_t> exchange_rows(Comm& comm, std::size_t arity,
+                                         std::vector<std::vector<std::uint64_t>> send,
+                                         bool faultable) {
+  const auto me = static_cast<std::size_t>(comm.rank());
+  assert(send.size() == static_cast<std::size_t>(comm.size()) && "one buffer per rank");
+  std::vector<Bytes> frames(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    if (d == me) continue;
+    frames[d] = encode_rows(arity, send[d]);
+    send[d] = std::vector<std::uint64_t>();  // the frame replaces it; free it now
+  }
+  const auto got = faultable ? comm.alltoallv_mailbox(std::move(frames))
+                             : comm.alltoallv(std::move(frames));
+  std::vector<std::uint64_t> out;
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    if (s != me) {
+      decode_rows(got[s], arity, out);
+    } else if (out.empty()) {
+      out = std::move(send[me]);
+    } else {
+      out.insert(out.end(), send[me].begin(), send[me].end());
+    }
+  }
+  return out;
 }
 
 }  // namespace paralagg::vmpi

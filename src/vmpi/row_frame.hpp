@@ -1,7 +1,9 @@
 #pragma once
 
-// The row frame: the one wire format for row batches exchanged during a
-// run (DESIGN.md §6.2).
+// The row frame: the one wire format for row batches that cross ranks
+// (DESIGN.md §6.2), and exchange_rows, which moves every flat
+// single-relation batch (fact loads, reshuffles, hot-key moves, probe
+// batches, serving's mutation rows) through it.
 //
 //   frame   := word* section*
 //   section := route count row{count}
@@ -30,6 +32,8 @@
 #include "vmpi/serialize.hpp"
 
 namespace paralagg::vmpi {
+
+class Comm;
 
 class RowFrameWriter {
  public:
@@ -97,5 +101,15 @@ Bytes encode_rows(std::size_t arity, std::span<const std::uint64_t> rows);
 /// Append the rows of a single-relation batch to `out`.
 void decode_rows(std::span<const std::byte> frame, std::size_t arity,
                  std::vector<std::uint64_t>& out);
+
+/// Move rows between ranks: `send[d]` holds row-major `arity`-column rows
+/// for rank d.  Each remote buffer crosses as one row frame over
+/// Comm::alltoallv, or over Comm::alltoallv_mailbox (where the fault plan
+/// and the reliable channel reach it) when `faultable`; this rank's own
+/// rows skip the codec.  Returns every arrival decoded and concatenated in
+/// source order, this rank's rows in its own slot.  Collective.
+std::vector<std::uint64_t> exchange_rows(Comm& comm, std::size_t arity,
+                                         std::vector<std::vector<std::uint64_t>> send,
+                                         bool faultable);
 
 }  // namespace paralagg::vmpi

@@ -5,7 +5,7 @@
 // MPI moves contiguous 1-D buffers, so anything stored in a nested
 // structure (the engine's B-trees) must be flattened before transmission
 // (paper §IV-D).  These helpers, and the row frame (row_frame.hpp) that
-// every per-iteration row batch uses, are the only sanctioned way to build
+// every rank-to-rank row move uses, are the only sanctioned way to build
 // and parse such buffers; keeping them trivial makes the byte accounting
 // in CommStats exact.
 
@@ -87,11 +87,11 @@ class BufferReader {
 
 /// Zero-copy reader over a byte buffer holding a homogeneous element
 /// stream.  Unlike BufferReader, `take_span` returns a *view* into the
-/// buffer — the one-shot raw-row paths (fact loads, reshuffles, checkpoint
-/// bodies) never materialize per-tuple copies.  Per-iteration row traffic
-/// uses the row frame (row_frame.hpp) instead.  The buffer must outlive
-/// every span taken from it, and its size must be an exact multiple of
-/// sizeof(T).
+/// buffer, so a raw-word body (a checkpoint file's rows, the hot-key
+/// nominations) never materializes per-tuple copies.  Rows that cross
+/// ranks use the row frame (row_frame.hpp) instead.  The buffer must
+/// outlive every span taken from it, and its size must be an exact
+/// multiple of sizeof(T).
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 class TypedReader {

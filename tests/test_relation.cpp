@@ -28,6 +28,26 @@ RelationConfig min3(const char* name = "agg") {
           .aggregator = make_min_aggregator()};
 }
 
+/// Every pair of 0, 1, 2^63 - 1, 2^63 and UINT64_MAX, as (key, value) rows
+/// in descending order: the row codec's zigzag deltas wrap on these.
+/// Every rank contributes the same rows, so each also arrives duplicated.
+std::vector<Tuple> extreme_rows() {
+  const value_t edge[] = {0, 1, (value_t{1} << 63) - 1, value_t{1} << 63, ~value_t{0}};
+  std::vector<Tuple> rows;
+  for (const value_t k : edge) {
+    for (const value_t v : edge) rows.push_back(Tuple{k, v});
+  }
+  std::sort(rows.rbegin(), rows.rend());
+  return rows;
+}
+
+/// The sorted distinct union of `a` and extreme_rows().
+std::vector<Tuple> with_extremes(const std::vector<Tuple>& a) {
+  std::set<Tuple> all(a.begin(), a.end());
+  for (const auto& t : extreme_rows()) all.insert(t);
+  return {all.begin(), all.end()};
+}
+
 TEST(RelationConfig, RejectsMalformedShapes) {
   vmpi::run(1, [&](vmpi::Comm& comm) {
     EXPECT_THROW(Relation(comm, {.name = "x", .arity = 0, .jcc = 1}), std::invalid_argument);
@@ -322,37 +342,101 @@ TEST(Relation, RefreshModeReplacesState) {
 }
 
 TEST(Relation, LoadFactsRoutesToOwners) {
+  std::vector<Tuple> base;
+  for (value_t v = 0; v < 100; ++v) base.push_back(Tuple{v, v + 1});
+  const auto expected = with_extremes(base);
   vmpi::run(4, [&](vmpi::Comm& comm) {
     Relation r(comm, plain2());
-    // Every rank contributes a disjoint slice.
-    std::vector<Tuple> slice;
+    // Every rank contributes a disjoint slice, plus the extreme rows.
+    std::vector<Tuple> slice = extreme_rows();
     for (value_t v = static_cast<value_t>(comm.rank()); v < 100;
          v += static_cast<value_t>(comm.size())) {
       slice.push_back(Tuple{v, v + 1});
     }
     r.load_facts(slice);
-    EXPECT_EQ(r.global_size(Version::kFull), 100u);
-    EXPECT_EQ(r.global_size(Version::kDelta), 100u);  // delta == initial facts
+    EXPECT_EQ(r.global_size(Version::kFull), expected.size());
+    EXPECT_EQ(r.global_size(Version::kDelta), expected.size());  // delta == initial facts
     // Every local tuple is owned by this rank.
     r.tree(Version::kFull).for_each([&](std::span<const value_t> t) {
       EXPECT_EQ(r.owner_rank(t), comm.rank());
     });
+    const auto rows = r.gather_to_root(0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(rows, expected);
+    }
+  });
+}
+
+TEST(Relation, LoadFactsShipSortedRowFrames) {
+  // 1024 key-dense rows per rank, in a scrambled order.  Each remote
+  // buffer is sorted before it is encoded, so a column costs about a byte
+  // against the row before: about an eighth of the raw 16 bytes.  Encoded
+  // in arrival order, most deltas span hundreds of keys and take two
+  // bytes a column, just under a quarter.
+  std::vector<std::uint64_t> sent(4, 0), raw(4, 0);
+  vmpi::run(4, [&](vmpi::Comm& comm) {
+    Relation r(comm, plain2());
+    const auto base = static_cast<value_t>(comm.rank()) * 1024;
+    std::vector<Tuple> slice;
+    for (value_t i = 0; i < 1024; ++i) {
+      const value_t k = base + i * 389 % 1024;  // 389 is coprime to 1024
+      slice.push_back(Tuple{k, k + 1});
+    }
+    const auto me = static_cast<std::size_t>(comm.rank());
+    for (const auto& t : slice) {
+      if (r.owner_rank(t.view()) != comm.rank()) raw[me] += 2 * sizeof(value_t);
+    }
+    const auto i = static_cast<std::size_t>(vmpi::Op::kAlltoallv);
+    const auto before = comm.stats().bytes_sent[i];
+    r.load_facts(slice);
+    sent[me] = comm.stats().bytes_sent[i] - before;
+    EXPECT_EQ(r.global_size(Version::kFull), 4096u);
+  });
+  std::uint64_t total_sent = 0, total_raw = 0;
+  for (std::size_t k = 0; k < 4; ++k) {
+    total_sent += sent[k];
+    total_raw += raw[k];
+  }
+  EXPECT_GT(total_raw, 0u);
+  EXPECT_LT(total_sent * 4, total_raw) << total_sent << " bytes for " << total_raw << " raw";
+  EXPECT_LT(total_sent * 6, total_raw) << "remote buffers must be sorted before encoding";
+}
+
+TEST(Relation, LoadFactsCountsEveryCopyAsASupportEvent) {
+  // Sort, never collapse: a row loaded from two ranks is two derivation
+  // events at its owner, both remote to it.
+  vmpi::run(4, [&](vmpi::Comm& comm) {
+    Relation r(comm, plain2());
+    r.enable_support_counts();
+    const Tuple row{5, 9};
+    const int owner = r.owner_rank(row.view());
+    std::vector<Tuple> slice;
+    if (comm.rank() == (owner + 1) % 4 || comm.rank() == (owner + 2) % 4) {
+      slice.push_back(row);
+    }
+    r.load_facts(slice);
+    EXPECT_EQ(r.global_size(Version::kFull), 1u);
+    if (comm.rank() == owner) {
+      EXPECT_EQ(r.support_of(row.view()), 2u);
+    }
   });
 }
 
 TEST(Relation, GatherToRootCollectsEverythingSorted) {
+  std::vector<Tuple> base;
+  for (value_t v = 0; v < 50; ++v) base.push_back(Tuple{v, v * 2});
+  const auto expected = with_extremes(base);
   vmpi::run(4, [&](vmpi::Comm& comm) {
     Relation r(comm, plain2());
-    std::vector<Tuple> slice;
-    if (comm.rank() == 0) {
-      for (value_t v = 0; v < 50; ++v) slice.push_back(Tuple{v, v * 2});
-    }
+    std::vector<Tuple> slice = extreme_rows();
+    if (comm.rank() == 0) slice.insert(slice.end(), base.begin(), base.end());
     r.load_facts(slice);
     const auto rows = r.gather_to_root(0);
     if (comm.rank() == 0) {
-      ASSERT_EQ(rows.size(), 50u);
+      ASSERT_EQ(rows.size(), expected.size());
       EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
-      EXPECT_EQ(rows[10], (Tuple{10, 20}));
+      EXPECT_TRUE(std::binary_search(rows.begin(), rows.end(), Tuple{10, 20}));
+      EXPECT_EQ(rows, expected);
     } else {
       EXPECT_TRUE(rows.empty());
     }
@@ -360,21 +444,28 @@ TEST(Relation, GatherToRootCollectsEverythingSorted) {
 }
 
 TEST(Relation, ReshuffleKeepsContentAndMovesOwnership) {
+  std::vector<Tuple> base;
+  for (value_t v = 0; v < 400; ++v) base.push_back(Tuple{7, v});
+  const auto expected = with_extremes(base);
   vmpi::run(8, [&](vmpi::Comm& comm) {
     Relation r(comm, plain2("skewed"));
     // Hot key 7: everything in one bucket.
-    std::vector<Tuple> slice;
-    if (comm.rank() == 0) {
-      for (value_t v = 0; v < 400; ++v) slice.push_back(Tuple{7, v});
-    }
+    std::vector<Tuple> slice = extreme_rows();
+    if (comm.rank() == 0) slice.insert(slice.end(), base.begin(), base.end());
     r.load_facts(slice);
-    const auto before_max =
-        comm.allreduce<std::uint64_t>(r.local_size(Version::kFull), vmpi::ReduceOp::kMax);
+    const auto local_sevens = [&] {
+      std::uint64_t n = 0;
+      r.tree(Version::kFull).for_each([&](std::span<const value_t> t) {
+        if (t[0] == 7) ++n;
+      });
+      return n;
+    };
+    const auto before_max = comm.allreduce<std::uint64_t>(local_sevens(), vmpi::ReduceOp::kMax);
     EXPECT_EQ(before_max, 400u);  // all on one rank
 
     r.reshuffle_to_sub_buckets(8);
-    EXPECT_EQ(r.global_size(Version::kFull), 400u);
-    EXPECT_EQ(r.global_size(Version::kDelta), 400u);  // delta travels too
+    EXPECT_EQ(r.global_size(Version::kFull), expected.size());
+    EXPECT_EQ(r.global_size(Version::kDelta), expected.size());  // delta travels too
     const auto after_max =
         comm.allreduce<std::uint64_t>(r.local_size(Version::kFull), vmpi::ReduceOp::kMax);
     EXPECT_LT(after_max, 200u);  // spread out
@@ -382,6 +473,10 @@ TEST(Relation, ReshuffleKeepsContentAndMovesOwnership) {
     r.tree(Version::kFull).for_each([&](std::span<const value_t> t) {
       EXPECT_EQ(r.owner_rank(t), comm.rank());
     });
+    const auto rows = r.gather_to_root(0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(rows, expected);
+    }
   });
 }
 

@@ -294,8 +294,8 @@ serving::UpdateBatch edge_batch(const vmpi::Comm& comm, std::span<const Tuple> i
 }
 
 TEST(Reliable, ServingMutationFramesHealUnderDrop) {
-  // Serving's own mutation traffic (exchange_flat) rides the faultable
-  // split-phase path, so injected drops must be healed by
+  // Serving's own mutation traffic rides vmpi::exchange_rows' faultable
+  // entry, so injected drops must be healed by
   // the reliable channel: the batch completes, the fixpoint matches the
   // from-scratch oracle, and real retransmits happened on the wire.
   const auto g = graph::make_chain(32, /*max_weight=*/3);

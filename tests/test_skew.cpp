@@ -180,18 +180,34 @@ TEST(DetectHotKeys, SumsShardsOfAnAlreadySpreadKey) {
 }
 
 TEST(SkewRelation, AdoptSpreadsRowsRoutesThemAndRestores) {
+  // 0, 1, 2^63 - 1, 2^63 and UINT64_MAX in both columns, descending, from
+  // every rank: the moves' row frames must carry them exactly.
+  const value_t edge[] = {~value_t{0}, value_t{1} << 63, (value_t{1} << 63) - 1, 1, 0};
+  std::set<Tuple> expected;
+  for (value_t v = 0; v < 200; ++v) expected.insert(Tuple{7, v});
+  for (value_t k = 0; k < 40; ++k) expected.insert(Tuple{100 + k, k});
+  for (const value_t k : edge) {
+    for (const value_t v : edge) expected.insert(Tuple{k, v});
+  }
   vmpi::run(4, [&](vmpi::Comm& comm) {
     Relation r(comm, {.name = "r", .arity = 2, .jcc = 1});
     std::vector<Tuple> slice;
+    for (const value_t k : edge) {
+      for (const value_t v : edge) slice.push_back(Tuple{k, v});
+    }
     if (comm.rank() == 0) {
       for (value_t v = 0; v < 200; ++v) slice.push_back(Tuple{7, v});
       for (value_t k = 0; k < 40; ++k) slice.push_back(Tuple{100 + k, k});
     }
     r.load_facts(slice);
     const auto before = r.gather_to_root();
+    if (comm.rank() == 0) {
+      EXPECT_EQ(before, std::vector<Tuple>(expected.begin(), expected.end()));
+    }
     const auto global = r.global_size(Version::kFull);
 
-    const auto moved = r.adopt_hot_keys({Tuple{7}});
+    // Key 2^63 turns hot too, so its rows cross in the hot-key move.
+    const auto moved = r.adopt_hot_keys({Tuple{7}, Tuple{value_t{1} << 63}});
     EXPECT_GT(comm.allreduce<std::uint64_t>(moved, vmpi::ReduceOp::kSum), 0u);
     EXPECT_EQ(r.global_size(Version::kFull), global);
 
